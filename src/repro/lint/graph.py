@@ -64,20 +64,20 @@ LEAF_PACKAGES = frozenset({"obs", "lint"})
 
 #: Sanctioned upward edges (importer module, imported module): the
 #: engine-primitive boundary the runner backends own (mirror of
-#: LAYER001's ``BLESSED`` module set), plus the spec-validation
-#: boundary — ``SimJob`` and the analytic tier consult the sim layer's
-#: priority/arbiter grammar (function-scoped imports, so the eager
-#: graph stays acyclic) to reject malformed specs at construction and
-#: to keep closed forms honest about regulated jobs.
+#: LAYER001's ``BLESSED`` module set), plus the spec boundary —
+#: ``SimJob``, the analytic tier and the batch core consult the sim
+#: layer's arbitration grammar, and the flat core builds its policy
+#: there (function-scoped imports, so the eager graph stays acyclic),
+#: to reject malformed specs at construction and to keep closed forms
+#: honest about regulated jobs.
 BLESSED_EDGES = frozenset(
     {
         ("repro.runner.analytic", "repro.sim.arbiter"),
         ("repro.runner.backends", "repro.sim.engine"),
+        ("repro.runner.batchsim", "repro.sim.arbiter"),
         ("repro.runner.fastsim", "repro.sim.arbiter"),
-        ("repro.runner.fastsim", "repro.sim.priority"),
         ("repro.runner.job", "repro.sim.arbiter"),
         ("repro.runner.job", "repro.sim.engine"),
-        ("repro.runner.job", "repro.sim.priority"),
         ("repro.runner.resilience", "repro.sim.engine"),
     }
 )

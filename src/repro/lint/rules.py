@@ -508,21 +508,17 @@ class RunnerLayerRule(Rule):
     )
 
     #: Modules allowed to touch the engine directly: the backend layer
-    #: itself, the engine internals, and the byte-compatible legacy
-    #: shims (kept for PriorityRule *instances*, which cannot ride in a
-    #: hashable SimJob).  ``repro.runner.fastsim`` is the flat-array
-    #: core the fast backend runs on — an engine primitive in its own
-    #: right, blessed for the same reason ``repro.sim.engine`` is —
-    #: and ``repro.runner.batchsim`` is its structure-of-arrays twin.
+    #: itself and the engine internals.  ``repro.runner.fastsim`` is
+    #: the flat-array core the fast backend runs on — an engine
+    #: primitive in its own right, blessed for the same reason
+    #: ``repro.sim.engine`` is — and ``repro.runner.batchsim`` is its
+    #: structure-of-arrays twin.
     BLESSED = frozenset({
         "repro.runner.backends",
         "repro.runner.fastsim",
         "repro.runner.batchsim",
         "repro.sim.engine",
         "repro.sim.port",
-        "repro.sim.pairs",
-        "repro.sim.multi",
-        "repro.sim.statespace",
     })
 
     #: Call origins that bypass the runner layer (matched by suffix so

@@ -162,9 +162,10 @@ class FastBackend:
     recording, trace hooks and a full-width bank tick; the fast path
     keeps four integer lists (bank busy countdowns, pending bank / stride
     per port, active-bank list) plus the precomputed bank→section table,
-    and arbitrates straight on them.  The priority rules are the *same*
-    tiny state machines as the reference (they are part of the simulated
-    state), so winners — and therefore trajectories — match exactly.
+    and arbitrates straight on them.  The arbitration policies are the
+    *same* tiny state machines as the reference (they are part of the
+    simulated state), so winners — and therefore trajectories — match
+    exactly.
     """
 
     name = "fast"

@@ -12,8 +12,8 @@ structure-of-arrays state:
 - per-port positions, strides, CPU owners and grant counters as
   ``(n_max, jobs)`` int64 arrays,
 - priority-rule state vectorized per rule kind (fixed / rotating /
-  LRU) — the same tiny state machines as
-  :mod:`repro.sim.priority`, expressed as per-lane tick counters and
+  LRU) — the same tiny state machines as the policies of
+  :mod:`repro.sim.arbiter`, expressed as per-lane tick counters and
   last-grant timestamps,
 - per-lane Brent steady-cycle detection sharing one global anchor
   schedule (anchors at cumulative steps ``2^k - 1``, exactly the
@@ -74,13 +74,13 @@ BATCH_MIN_POPULATION = 96
 _TAIL_MIN_LANES = 32
 _TAIL_MIN_STEPS = 1024
 
-#: Priority-rule kind codes.  ``cyclic`` is ``block-cyclic:1`` — the
-#: two rules share choose offset *and* snapshot once the tick counter
-#: is kept raw (CyclicPriority stores ``ticks % n``, which equals
-#: ``ticks % (1·n)``).
+#: Priority-rule kind codes.  ``cyclic`` is ``block-cyclic:1`` — both
+#: walk a schedule of each port repeated ``block`` times, so they share
+#: ranking *and* snapshot once the tick counter is kept raw.
 _FIXED = 0
 _ROT = 1
 _LRU = 2
+_KIND_CODES = {"fixed": _FIXED, "cyclic": _ROT, "block-cyclic": _ROT, "lru": _LRU}
 
 #: Last-grant sentinel for padding ports (lanes with fewer than
 #: ``n_max`` streams).  It must sort *after* every live port's
@@ -90,16 +90,12 @@ _LRU_PAD = 1 << 40
 
 
 def _rule_code(name: str) -> tuple[int, int]:
-    """``(kind, block)`` for a priority-rule name."""
-    if name == "fixed":
-        return _FIXED, 1
-    if name == "cyclic":
-        return _ROT, 1
-    if name == "lru":
-        return _LRU, 1
-    if name.startswith("block-cyclic:"):
-        return _ROT, int(name.split(":", 1)[1])
-    raise ValueError(f"invalid priority spec {name!r}")
+    """``(kind code, block)`` for a priority spec, read by the one
+    grammar (:func:`repro.sim.arbiter.parse_priority`)."""
+    from ..sim.arbiter import parse_priority
+
+    kind, block = parse_priority(name)
+    return _KIND_CODES[kind], block
 
 
 def _sect_table(job: "SimJob", cache: SectCache) -> IntArray:

@@ -32,7 +32,6 @@ from ..obs import names as _names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.arbiter import ArbiterPolicy
-    from ..sim.priority import PriorityRule
     from .job import SimJob
 
 __all__ = ["FlatSim", "find_steady_cycle"]
@@ -46,9 +45,9 @@ def _record_steady(mu: int, lam: int) -> None:
         reg.histogram(_names.FASTSIM_STEADY_MU).observe(mu)
         reg.histogram(_names.FASTSIM_STEADY_LAM).observe(lam)
 
-#: One full comparable state: positions, priority snapshots, bank
+#: One full comparable state: positions, policy snapshot, bank
 #: countdowns.  Positions lead because they discriminate fastest.
-StateKey = tuple[list[int], tuple, tuple, list[int]]
+StateKey = tuple[list[int], tuple, list[int]]
 
 
 class FlatSim:
@@ -68,11 +67,8 @@ class FlatSim:
         "cpu",
         "pos",
         "stride",
-        "prio",
-        "intra",
         "policy",
-        "same_rule",
-        "static_rules",
+        "static",
         "busy",
         "grants",
         "cycle",
@@ -93,14 +89,10 @@ class FlatSim:
         cpus: Sequence[int],
         positions: Sequence[int],
         strides: Sequence[int],
-        prio: "PriorityRule | None" = None,
-        intra: "PriorityRule | None" = None,
-        policy: "ArbiterPolicy | None" = None,
+        policy: "ArbiterPolicy",
         busy: Sequence[int] | None = None,
         start_cycle: int = 0,
     ) -> None:
-        from ..sim.priority import FixedPriority
-
         self.m = m
         self.n_c = n_c
         self.n = len(positions)
@@ -109,26 +101,9 @@ class FlatSim:
         self.pos = [b % m for b in positions]
         self.stride = [d % m for d in strides]
         self.policy = policy
-        if policy is not None:
-            # Generic arbiter-policy path: the policy subsumes both
-            # rules; state identity compares its snapshot.
-            if prio is not None or intra is not None:
-                raise ValueError("pass either policy= or prio=/intra=")
-            self.prio = None
-            self.intra = None
-            self.same_rule = True
-            self.static_rules = False
-        else:
-            if prio is None:
-                raise ValueError("need prio= (or policy=)")
-            self.prio = prio
-            self.intra = prio if intra is None else intra
-            self.same_rule = self.intra is prio
-            # Rules whose snapshot is statically empty need no state
-            # compare.
-            self.static_rules = isinstance(prio, FixedPriority) and (
-                self.same_rule or isinstance(self.intra, FixedPriority)
-            )
+        # A static policy (the fixed rule) has a constant snapshot, so
+        # state identity skips it and walkers may share the object.
+        self.static = policy.static
         # Banks are tracked as absolute busy-until clocks (bank ``b`` is
         # free at clock ``t`` iff ``busy[b] <= t``), not countdowns: a
         # grant writes one timestamp and the per-clock decrement sweep
@@ -140,20 +115,19 @@ class FlatSim:
             else [start_cycle + c if c else 0 for c in busy]
         )
         self.grants = [0] * self.n
-        # Absolute clock fed to the priority rules: rules cloned from a
+        # Absolute clock fed to the policy: policies cloned from a
         # mid-run engine carry timestamps in the engine's numbering.
         self.cycle = start_cycle
         self.ports = list(range(self.n))
         # Sweeps overwhelmingly run two fixed-priority streams; that
-        # shape gets a branch-only step with no dicts and no rule calls
-        # (fixed rules are pure ``min`` — port 0 wins every tie).
+        # shape gets a branch-only step with no dicts and no policy
+        # calls (port 0 wins every tie).
         self._pair_same_cpu = self.n == 2 and self.cpu[0] == self.cpu[1]
-        if self.policy is not None:
-            self.step = self._step_policy
-        elif self.n == 2 and self.static_rules:
-            self.step = self._step_pair_fixed
-        else:
-            self.step = self._step_generic
+        self.step = (
+            self._step_pair_fixed
+            if self.n == 2 and self.static
+            else self._step_policy
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -166,38 +140,12 @@ class FlatSim:
         table across every job with the same memory shape.
         """
         from ..memory.sections import section_map_for
-        from ..sim.priority import make_priority
+        from ..sim.arbiter import make_arbiter
 
         m = job.banks
         if sect is None:
             smap = section_map_for(job.config)
             sect = [smap.section_of(j) for j in range(m)]
-        n = len(job.streams)
-        if job.arbiter is not None or job.regulate:
-            from ..sim.arbiter import make_arbiter
-
-            return cls(
-                m=m,
-                n_c=job.bank_cycle,
-                sect=sect,
-                cpus=job.cpus,
-                positions=[b for b, _ in job.streams],
-                strides=[d for _, d in job.streams],
-                policy=make_arbiter(
-                    n,
-                    m,
-                    priority=job.priority,
-                    intra_priority=job.intra_priority,
-                    arbiter=job.arbiter,
-                    regulate=job.regulate,
-                ),
-            )
-        prio = make_priority(job.priority, n)
-        intra = (
-            prio
-            if job.intra_priority is None
-            else make_priority(job.intra_priority, n)
-        )
         return cls(
             m=m,
             n_c=job.bank_cycle,
@@ -205,15 +153,21 @@ class FlatSim:
             cpus=job.cpus,
             positions=[b for b, _ in job.streams],
             strides=[d for _, d in job.streams],
-            prio=prio,
-            intra=intra,
+            policy=make_arbiter(
+                len(job.streams),
+                m,
+                priority=job.priority,
+                intra_priority=job.intra_priority,
+                arbiter=job.arbiter,
+                regulate=job.regulate,
+            ),
         )
 
     def clone_start(self) -> "FlatSim":
         """Cheap structural copy of this (never-stepped) template.
 
-        Only valid for static rules, whose objects are stateless and can
-        be shared between walkers; read-only tables (``sect``, ``cpu``,
+        Only valid for static policies, which are stateless and can be
+        shared between walkers; read-only tables (``sect``, ``cpu``,
         ``stride``) are shared, mutable state is copied.
         """
         new = FlatSim.__new__(FlatSim)
@@ -224,20 +178,15 @@ class FlatSim:
         new.cpu = self.cpu
         new.pos = self.pos.copy()
         new.stride = self.stride
-        new.prio = self.prio
-        new.intra = self.intra
-        new.policy = None
-        new.same_rule = self.same_rule
-        new.static_rules = self.static_rules
+        new.policy = self.policy
+        new.static = self.static
         new.busy = self.busy.copy()
         new.grants = self.grants.copy()
         new.cycle = self.cycle
         new.ports = self.ports
         new._pair_same_cpu = self._pair_same_cpu
         new.step = (
-            new._step_pair_fixed
-            if new.n == 2 and new.static_rules
-            else new._step_generic
+            new._step_pair_fixed if new.n == 2 else new._step_policy
         )
         return new
 
@@ -246,7 +195,7 @@ class FlatSim:
     # Engine.step(), on flat state.
     # ------------------------------------------------------------------
     def _step_pair_fixed(self) -> None:
-        """Two streams, fixed rules: the generic step with every branch
+        """Two streams, static policy: the generic step with every branch
         resolved at construction time (bit-identical trajectory)."""
         busy = self.busy
         pos = self.pos
@@ -282,9 +231,9 @@ class FlatSim:
         self.cycle = t + 1
 
     def _step_policy(self) -> None:
-        """Arbiter-policy step: the generic three-phase arbitration
-        with the policy ranking contenders and (when regulated) vetoing
-        admissions — the flat mirror of ``Engine.step`` on a policy."""
+        """The generic step: three-phase arbitration with the policy
+        ranking contenders and (when regulated) vetoing admissions —
+        the flat mirror of ``Engine.step``."""
         busy = self.busy
         pos = self.pos
         cycle = self.cycle
@@ -347,73 +296,9 @@ class FlatSim:
         pol.tick(cycle)
         self.cycle = cycle + 1
 
-    def _step_generic(self) -> None:
-        busy = self.busy
-        pos = self.pos
-        cycle = self.cycle
-        # Phase 1 — bank conflicts: active banks reject everyone.
-        free = [p for p in self.ports if busy[pos[p]] <= cycle]
-        # Phase 2 — section conflicts: per (cpu, path) at most one.
-        if len(free) > 1:
-            cpu = self.cpu
-            sect = self.sect
-            groups: dict[tuple[int, int], list[int]] = {}
-            for p in free:
-                key = (cpu[p], sect[pos[p]])
-                g = groups.get(key)
-                if g is None:
-                    groups[key] = [p]
-                else:
-                    g.append(p)
-            if len(groups) != len(free):
-                intra = self.intra
-                free = [
-                    members[0]
-                    if len(members) == 1
-                    else intra.choose(members, cycle)
-                    for members in groups.values()
-                ]
-            # Phase 3 — simultaneous bank conflicts: per bank at most
-            # one grant (cross-CPU by construction after phase 2).
-            if len(free) > 1:
-                banks: dict[int, list[int]] = {}
-                for p in free:
-                    b = pos[p]
-                    g = banks.get(b)
-                    if g is None:
-                        banks[b] = [p]
-                    else:
-                        g.append(p)
-                if len(banks) != len(free):
-                    prio = self.prio
-                    free = [
-                        members[0]
-                        if len(members) == 1
-                        else prio.choose(sorted(members), cycle)
-                        for members in banks.values()
-                    ]
-        # Commit grants.
-        m = self.m
-        until = cycle + self.n_c
-        stride = self.stride
-        grants = self.grants
-        prio = self.prio
-        for p in free:
-            b = pos[p]
-            busy[b] = until
-            grants[p] += 1
-            b += stride[p]
-            pos[p] = b - m if b >= m else b
-            prio.granted(p, cycle)
-        # Clock edge.
-        prio.tick(cycle)
-        if not self.same_rule:
-            self.intra.tick(cycle)
-        self.cycle = cycle + 1
-
     def run_span(self, clocks: int) -> None:
         """Advance a fixed number of clock periods."""
-        if self.n == 2 and self.static_rules:
+        if self.n == 2 and self.static:
             self._run_span_pair(clocks)
             return
         step = self.step
@@ -471,7 +356,7 @@ class FlatSim:
         ``-1`` when the window closed without a match (the walker then
         sits exactly ``window`` steps further on).
         """
-        if self.n == 2 and self.static_rules:
+        if self.n == 2 and self.static:
             return self._walk_until_match_pair(key, window)
         step = self.step
         matches = self.matches
@@ -484,9 +369,9 @@ class FlatSim:
     def _walk_until_match_pair(self, key: StateKey, window: int) -> int:
         """Fused step-and-compare for the two-port fixed shape.
 
-        The position compare is the only per-clock check (fixed rules
-        have empty snapshots); the O(m) busy normalisation runs on the
-        rare position collision.
+        The position compare is the only per-clock check (a static
+        policy's snapshot is constant); the O(m) busy normalisation runs
+        on the rare position collision.
         """
         busy = self.busy
         sect = self.sect
@@ -495,7 +380,7 @@ class FlatSim:
         m = self.m
         same_cpu = self._pair_same_cpu
         k0, k1 = key[0]
-        kbusy = key[3]
+        kbusy = key[2]
         b0, b1 = self.pos
         c0, c1 = self.grants
         t = self.cycle
@@ -549,19 +434,7 @@ class FlatSim:
 
     def key(self) -> StateKey:
         """Copy of the full comparable state (the detector's anchor)."""
-        if self.policy is not None:
-            return (
-                self.pos.copy(),
-                self.policy.snapshot(),
-                (),
-                self._busy_counters(),
-            )
-        return (
-            self.pos.copy(),
-            self.prio.snapshot(),
-            self.intra.snapshot(),
-            self._busy_counters(),
-        )
+        return (self.pos.copy(), self.policy.snapshot(), self._busy_counters())
 
     def matches(self, key: StateKey) -> bool:
         """Whether the live state equals an anchor (short-circuiting).
@@ -571,28 +444,16 @@ class FlatSim:
         """
         if self.pos != key[0]:
             return False
-        if self.policy is not None:
-            if self.policy.snapshot() != key[1]:
-                return False
-        elif not self.static_rules and (
-            self.prio.snapshot() != key[1]
-            or self.intra.snapshot() != key[2]
-        ):
+        if not self.static and self.policy.snapshot() != key[1]:
             return False
-        return self._busy_counters() == key[3]
+        return self._busy_counters() == key[2]
 
     def same_state(self, other: "FlatSim") -> bool:
         """Whether two walkers of one workload are in the same state
         (the walkers may sit at different absolute clocks)."""
         if self.pos != other.pos:
             return False
-        if self.policy is not None:
-            if self.policy.snapshot() != other.policy.snapshot():
-                return False
-        elif not self.static_rules and (
-            self.prio.snapshot() != other.prio.snapshot()
-            or self.intra.snapshot() != other.intra.snapshot()
-        ):
+        if not self.static and self.policy.snapshot() != other.policy.snapshot():
             return False
         return self._busy_counters() == other._busy_counters()
 
@@ -713,10 +574,10 @@ def find_steady_cycle(
     if max_cycles < 0:
         raise exhausted()
 
-    # Static-rule workloads spawn walkers by cheap structural copy of
+    # Static-policy workloads spawn walkers by cheap structural copy of
     # one never-stepped template instead of re-deriving the job thrice.
     template = make()
-    if template.static_rules:
+    if template.static:
         make = template.clone_start
         hare = make()
     else:
@@ -751,7 +612,7 @@ def find_steady_cycle(
     lead = make()
     lead.run_span(lam)
     trail = make()
-    if trail.n == 2 and trail.static_rules:
+    if trail.n == 2 and trail.static:
         mu = _meet_pair(trail, lead, max_cycles - lam)
         if mu < 0:
             raise exhausted()

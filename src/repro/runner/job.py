@@ -46,14 +46,16 @@ class SimJob:
         Owning CPU per port; section conflicts arise within a CPU,
         simultaneous bank conflicts across CPUs.
     priority, intra_priority:
-        Rule names as accepted by :func:`repro.sim.priority.make_priority`.
-        ``intra_priority=None`` means "the same rule *instance* arbitrates
-        both conflict kinds" (the paper's presentation), which for
-        stateful rules is *not* equivalent to naming the rule twice.
+        Priority specs as accepted by
+        :func:`repro.sim.arbiter.parse_priority`.
+        ``intra_priority=None`` means "one policy arbitrates both
+        conflict kinds" (the paper's presentation); naming a rule there
+        gives section conflicts a policy of their own, which for
+        stateful rules is *not* equivalent to ``None``.
     arbiter:
-        Optional arbiter-policy spec replacing the two-rule wiring
+        Optional arbiter-policy spec replacing the priority rules
         (``"wfq:W0,W1,..."`` — see :mod:`repro.sim.arbiter`); ``None``
-        keeps the classic priority/intra_priority arbitration.
+        keeps the priority/intra_priority arbitration.
     regulate:
         Token-bucket regulator specs (``"stream=1/3"``,
         ``"bank:0=1/4"``, ...) wrapped around whichever policy results.
@@ -110,14 +112,16 @@ class SimJob:
                 raise ValueError("cpu ids must be non-negative")
         # Spec strings fail at job construction, not deep inside a
         # backend (and therefore with HTTP 400, not 500, on the wire).
-        from ..sim.priority import parse_priority
+        from ..sim.arbiter import (
+            canonical_arbiter,
+            parse_priority,
+            validate_regulation,
+        )
 
         parse_priority(self.priority)
         if self.intra_priority is not None:
             parse_priority(self.intra_priority)
         if self.arbiter is not None or self.regulate:
-            from ..sim.arbiter import canonical_arbiter, validate_regulation
-
             canonical_arbiter(self.arbiter, len(self.streams))
             if not isinstance(self.regulate, tuple):
                 raise ValueError(

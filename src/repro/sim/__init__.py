@@ -5,11 +5,11 @@ to their Cray X-MP measurements (Section IV):
 
 ``port``
     Request side: one pending access per clock, stall-on-deny.
-``priority``
-    Fixed / cyclic / LRU conflict arbitration rules.
 ``arbiter``
-    Pluggable :class:`ArbiterPolicy` layer (weighted-fair rotation,
-    token-bucket bandwidth regulation) over the priority rules.
+    The :class:`ArbiterPolicy` protocol and its policies: the paper's
+    fixed / cyclic / block-cyclic priority rules and weighted-fair
+    rotation as favoured-port schedules, LRU, and token-bucket
+    bandwidth regulation around any of them.
 ``engine``
     The per-clock arbitration loop (bank → section → simultaneous) and
     exact steady-state (cyclic state) detection.
@@ -23,14 +23,16 @@ to their Cray X-MP measurements (Section IV):
 
 from .arbiter import (
     ArbiterPolicy,
-    PriorityArbiter,
+    LRUPolicy,
     RegulatedArbiter,
     RegulationSpec,
+    SchedulePolicy,
+    SplitPolicy,
     TokenBucket,
-    WeightedFairArbiter,
     canonical_arbiter,
     canonical_regulation,
     make_arbiter,
+    parse_priority,
     parse_regulation,
 )
 from .engine import Engine, SimulationResult, simulate_streams
@@ -51,52 +53,40 @@ from .pairs import (
     worst_offset,
 )
 from .port import Port
-from .priority import (
-    BlockCyclicPriority,
-    CyclicPriority,
-    FixedPriority,
-    LRUPriority,
-    PriorityRule,
-    make_priority,
-)
 from .stats import ConflictKind, PortStats, SimStats
 from .trace import CycleTrace, DenialEvent, GrantEvent, TraceRecorder
 
 __all__ = [
     "ArbiterPolicy",
-    "BlockCyclicPriority",
     "ConflictKind",
     "CycleTrace",
-    "CyclicPriority",
     "DenialEvent",
     "Engine",
-    "FixedPriority",
     "GrantEvent",
-    "LRUPriority",
+    "LRUPolicy",
     "MultiResult",
     "ObservedRegime",
     "PairResult",
     "Port",
     "PortStats",
-    "PriorityArbiter",
-    "PriorityRule",
     "RegulatedArbiter",
     "RegulationSpec",
+    "SchedulePolicy",
     "SimStats",
     "SimulationResult",
+    "SplitPolicy",
     "StartSpaceProfile",
     "TokenBucket",
     "TraceRecorder",
     "Trajectory",
-    "WeightedFairArbiter",
     "bandwidth_by_offset",
     "canonical_arbiter",
     "canonical_regulation",
     "equal_stride_table",
     "best_offset",
     "make_arbiter",
-    "make_priority",
     "offsets_achieving",
+    "parse_priority",
     "parse_regulation",
     "simulate_multi",
     "simulate_pair",

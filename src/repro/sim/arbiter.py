@@ -8,19 +8,18 @@ grants outright (a stream or bank that has exhausted its bandwidth
 budget waits even when its bank is free).  This module factors that
 space into a small protocol:
 
-* :class:`ArbiterPolicy` — the protocol: rank section contenders, rank
-  simultaneous-bank contenders, admit-or-veto a request, and the same
-  ``tick``/``granted``/``snapshot``/``restore`` state-machine discipline
-  as :class:`~repro.sim.priority.PriorityRule`, so policies remain
-  legal members of the steady-cycle detector's state.
-* :class:`PriorityArbiter` — adapter wrapping the four existing
-  priority rules; delegates bit-identically to the pre-policy engine
-  wiring (cross-CPU rule ranks banks and receives grant notifications,
-  the intra rule ranks section paths, both tick once per clock).
-* :class:`WeightedFairArbiter` — smooth weighted round-robin ranking:
-  the favoured port walks a precomputed schedule in which port ``p``
-  appears ``weight[p]`` times per ``sum(weights)`` clocks.  The only
-  state is the schedule slot, so the state space stays finite.
+* :class:`ArbiterPolicy` — the one protocol: rank section contenders,
+  rank simultaneous-bank contenders, admit-or-veto a request, plus a
+  ``tick``/``granted``/``snapshot``/``restore`` state-machine
+  discipline so policies remain legal members of the steady-cycle
+  detector's state.
+* :class:`SchedulePolicy` — the favoured port walks a cyclic schedule
+  and the nearest contender in cyclic port order wins.  The paper's
+  ``fixed``, ``cyclic`` and ``block-cyclic:N`` rules and weighted-fair
+  ``wfq:W0,W1,...`` arbitration differ only in the schedule.
+* :class:`LRUPolicy` — least-recently-granted port wins (ablation).
+* :class:`SplitPolicy` — one policy for section conflicts and another
+  for simultaneous bank conflicts (a job's ``intra_priority``).
 * :class:`TokenBucket` / :class:`RegulatedArbiter` — integer token
   buckets throttling individual streams and banks: a grant costs
   ``window`` tokens, every clock refills ``rate``, a request is vetoed
@@ -41,16 +40,16 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
-from .priority import PriorityRule, make_priority
-
 __all__ = [
     "ArbiterPolicy",
-    "PriorityArbiter",
-    "WeightedFairArbiter",
+    "SchedulePolicy",
+    "LRUPolicy",
+    "SplitPolicy",
     "TokenBucket",
     "RegulatedArbiter",
     "RegulationSpec",
     "make_arbiter",
+    "parse_priority",
     "canonical_arbiter",
     "canonical_regulation",
     "parse_regulation",
@@ -203,6 +202,26 @@ def regulation_renumbering_safe(specs: Sequence[str]) -> bool:
 # ----------------------------------------------------------------------
 # The policy protocol
 # ----------------------------------------------------------------------
+def _snapshot_ints(name: str, snap: tuple, length: int) -> tuple[int, ...]:
+    """Validate a snapshot as ``length`` plain ints, or raise clearly.
+
+    Snapshots travel through the steady-cycle detector and (in tests)
+    across policy instances; a corrupted or cross-policy tuple must
+    fail with a message naming the policy, not an opaque unpack error
+    deep in cycle detection.
+    """
+    if not isinstance(snap, tuple) or len(snap) != length:
+        raise ValueError(
+            f"{name} snapshot must be a {length}-tuple, got {snap!r}"
+        )
+    for value in snap:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(
+                f"{name} snapshot must contain only integers, got {snap!r}"
+            )
+    return tuple(int(v) for v in snap)
+
+
 class ArbiterPolicy(abc.ABC):
     """Strategy resolving one clock's arbitration, with optional veto.
 
@@ -210,15 +229,20 @@ class ArbiterPolicy(abc.ABC):
     bank-busy filter, :meth:`admit` may veto a request (regulators);
     :meth:`rank_section` picks the winner of a per-CPU path conflict;
     :meth:`rank_bank` the winner of a cross-CPU simultaneous bank
-    conflict.  ``granted``/``tick``/``snapshot``/``restore`` follow the
-    :class:`~repro.sim.priority.PriorityRule` state-machine discipline —
-    policy state is part of the simulated Markov chain, so it must be
-    bounded and exactly restorable for steady-cycle detection.
+    conflict.  Contenders arrive as port indices in ascending order.
+    ``tick`` is called once per simulated clock (after arbitration),
+    ``granted`` once per granted port.  Policy state is part of the
+    simulated Markov chain, so :meth:`snapshot` must be bounded and
+    exactly restorable for steady-cycle detection.
     """
 
     #: Whether :meth:`admit` can ever veto; ``False`` lets hot paths
     #: skip the admission sweep entirely.
     regulated: bool = False
+    #: Whether the policy is stateless and every conflict goes to the
+    #: lowest contending port (the paper's fixed rule).  The flat core
+    #: then skips state compares and runs two ports on fused kernels.
+    static: bool = False
 
     @abc.abstractmethod
     def rank_section(self, contenders: Sequence[int], cycle: int) -> int:
@@ -244,9 +268,9 @@ class ArbiterPolicy(abc.ABC):
     def tick(self, cycle: int) -> None:
         """Clock-edge hook."""
 
+    @abc.abstractmethod
     def snapshot(self) -> tuple:
         """Hashable internal state for cycle detection."""
-        return ()
 
     @abc.abstractmethod
     def restore(self, snap: tuple) -> None:
@@ -256,59 +280,6 @@ class ArbiterPolicy(abc.ABC):
     @abc.abstractmethod
     def spec(self) -> str:
         """Canonical config-string identity of this policy."""
-
-
-class PriorityArbiter(ArbiterPolicy):
-    """The classic wiring: two :class:`PriorityRule`s behind the policy.
-
-    Delegation mirrors the pre-policy engine exactly — the cross-CPU
-    rule ranks simultaneous bank conflicts and receives grant
-    notifications, the intra rule ranks section paths, and both tick
-    once per clock (once total when they are the same object) — so an
-    unregulated :class:`PriorityArbiter` is bit-identical to the old
-    grant loop by construction.
-    """
-
-    def __init__(
-        self, priority: PriorityRule, intra: PriorityRule | None = None
-    ) -> None:
-        self.priority = priority
-        self.intra = priority if intra is None else intra
-
-    def rank_section(self, contenders: Sequence[int], cycle: int) -> int:
-        return self.intra.choose(contenders, cycle)
-
-    def rank_bank(
-        self, contenders: Sequence[int], bank: int | None, cycle: int
-    ) -> int:
-        return self.priority.choose(contenders, cycle)
-
-    def granted(self, port: int, bank: int, cycle: int) -> None:
-        self.priority.granted(port, cycle)
-
-    def tick(self, cycle: int) -> None:
-        self.priority.tick(cycle)
-        if self.intra is not self.priority:
-            self.intra.tick(cycle)
-
-    def snapshot(self) -> tuple:
-        return (self.priority.snapshot(), self.intra.snapshot())
-
-    def restore(self, snap: tuple) -> None:
-        if not isinstance(snap, tuple) or len(snap) != 2:
-            raise ValueError(
-                f"priority-arbiter snapshot must be a "
-                f"(priority, intra) pair, got {snap!r}"
-            )
-        self.priority.restore(snap[0])
-        if self.intra is not self.priority:
-            self.intra.restore(snap[1])
-
-    @property
-    def spec(self) -> str:
-        if self.intra is self.priority:
-            return f"priority({self.priority.name})"
-        return f"priority({self.priority.name}/{self.intra.name})"
 
 
 def _wrr_schedule(weights: Sequence[int]) -> list[int]:
@@ -334,38 +305,46 @@ def _wrr_schedule(weights: Sequence[int]) -> list[int]:
     return schedule
 
 
-class WeightedFairArbiter(ArbiterPolicy):
-    """Weighted-fair ranking over a smooth round-robin schedule.
+class SchedulePolicy(ArbiterPolicy):
+    """Schedule-driven priority: the favoured port walks a cyclic schedule.
 
-    The favoured port walks a precomputed smooth-WRR schedule;
-    contenders are compared by cyclic distance from it.
+    Clock ``t`` favours port ``schedule[t mod len(schedule)]``; the
+    winner is the first contender at or above the favoured port, or
+    else the first contender — the nearest one in cyclic port order.
+    The schedule is the whole difference between the rules:
 
-    With equal weights this is :class:`CyclicPriority` by another name;
-    unequal weights favour heavy ports proportionally *when conflicts
-    happen* without ever starving the light ones.  The only state is
-    the schedule slot — bounded, so Brent detection still applies —
-    but unlike the priority rules the slot free-runs with the clock,
-    which is exactly why the analytic tier refuses these jobs (the
-    same reason it refuses ``block-cyclic``).
+    * ``fixed`` — ``[0]``: the lowest port always wins, the rule under
+      which Fig. 8a's linked conflict persists forever;
+    * ``cyclic`` — ``0..n-1``: the favoured port advances every clock,
+      which breaks the phase-lock of linked conflicts (Fig. 8b);
+    * ``block-cyclic:N`` — each port ``N`` times: the Fig. 8(b) header
+      row ``111222111222...`` holds priority for ``N = n_c`` clocks;
+    * ``wfq:W0,W1,...`` — the smooth weighted round-robin order, in
+      which port ``p`` is favoured ``W[p]`` times per ``sum(W)``
+      clocks, so heavy ports win proportionally more conflicts without
+      ever starving the light ones.
+
+    The only state is the schedule slot, so the state space stays
+    finite.  A schedule longer than one slot free-runs with the clock,
+    which is why the analytic tier refuses ``block-cyclic`` and ``wfq``.
     """
 
-    def __init__(self, weights: Sequence[int]) -> None:
-        if not weights:
-            raise ValueError("need at least one weight")
-        for w in weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
-                raise ValueError(
-                    f"weights must be positive integers, got {list(weights)!r}"
-                )
-        self.weights = tuple(int(w) for w in weights)
-        self.n_ports = len(self.weights)
-        self._schedule = _wrr_schedule(self.weights)
-        self._slot = 0
+    def __init__(self, spec: str, schedule: Sequence[int]) -> None:
+        if not schedule:
+            raise ValueError("need a non-empty schedule")
+        self._spec = spec
+        self.schedule = tuple(schedule)
+        self.static = self.schedule == (0,)
+        self.slot = 0
 
     def _rank(self, contenders: Sequence[int]) -> int:
-        fav = self._schedule[self._slot]
-        n = self.n_ports
-        return min(contenders, key=lambda p: (p - fav) % n)
+        favoured = self.schedule[self.slot]
+        for port in contenders:
+            if port >= favoured:
+                return port
+        if not contenders:
+            raise ValueError("no contenders")
+        return contenders[0]
 
     def rank_section(self, contenders: Sequence[int], cycle: int) -> int:
         return self._rank(contenders)
@@ -375,32 +354,143 @@ class WeightedFairArbiter(ArbiterPolicy):
     ) -> int:
         return self._rank(contenders)
 
+    def favoured(self, n_ports: int, cycle: int) -> int:
+        return self.schedule[self.slot]
+
     def tick(self, cycle: int) -> None:
-        self._slot = (self._slot + 1) % len(self._schedule)
+        slot = self.slot + 1
+        self.slot = 0 if slot == len(self.schedule) else slot
 
     def snapshot(self) -> tuple:
-        return (self._slot,)
+        return (self.slot,)
 
     def restore(self, snap: tuple) -> None:
-        if (
-            not isinstance(snap, tuple)
-            or len(snap) != 1
-            or not isinstance(snap[0], int)
-            or isinstance(snap[0], bool)
-        ):
+        name = self._spec.partition(":")[0]
+        (slot,) = _snapshot_ints(name, snap, 1)
+        if not 0 <= slot < len(self.schedule):
             raise ValueError(
-                f"wfq snapshot must be a 1-tuple of int, got {snap!r}"
+                f"{name} snapshot slot {slot} out of range for a "
+                f"{len(self.schedule)}-slot schedule"
             )
-        if not 0 <= snap[0] < len(self._schedule):
-            raise ValueError(
-                f"wfq snapshot slot {snap[0]} out of range for a "
-                f"{len(self._schedule)}-slot schedule"
-            )
-        self._slot = snap[0]
+        self.slot = slot
 
     @property
     def spec(self) -> str:
-        return "wfq:" + ",".join(str(w) for w in self.weights)
+        return self._spec
+
+
+class LRUPolicy(ArbiterPolicy):
+    """Least-recently-granted port wins — a fairness-greedy ablation.
+
+    Not in the paper; included to ablate the priority design space
+    (DESIGN.md §5.1).  Ties (never granted yet) fall back to port order.
+    """
+
+    def __init__(self, n_ports: int) -> None:
+        if n_ports <= 0:
+            raise ValueError("need at least one port")
+        self.n_ports = n_ports
+        self._last_grant = [-1] * n_ports
+
+    def _rank(self, contenders: Sequence[int]) -> int:
+        last = self._last_grant
+        return min(contenders, key=lambda p: (last[p], p))
+
+    def rank_section(self, contenders: Sequence[int], cycle: int) -> int:
+        return self._rank(contenders)
+
+    def rank_bank(
+        self, contenders: Sequence[int], bank: int | None, cycle: int
+    ) -> int:
+        return self._rank(contenders)
+
+    def granted(self, port: int, bank: int, cycle: int) -> None:
+        self._last_grant[port] = cycle
+
+    def snapshot(self) -> tuple:
+        # Only the *relative order* of last grants matters for future
+        # decisions; normalise to ranks so the state space stays finite.
+        last = self._last_grant
+        order = sorted(range(self.n_ports), key=lambda p: (last[p], p))
+        ranks = [0] * self.n_ports
+        for rank, p in enumerate(order):
+            ranks[p] = rank
+        return tuple(ranks)
+
+    def restore(self, snap: tuple) -> None:
+        ranks = _snapshot_ints("lru", snap, self.n_ports)
+        if sorted(ranks) != list(range(self.n_ports)):
+            raise ValueError(
+                f"lru snapshot must be a permutation of ranks "
+                f"0..{self.n_ports - 1}, got {snap!r}"
+            )
+        # Ranks map back to synthetic timestamps preserving the order.
+        # They must sit strictly below any cycle number the policy can
+        # see next: restoring to 0..n-1 would let a synthetic timestamp
+        # compare *newer* than a real grant made at cycle < n-1,
+        # inverting LRU order after a restore early in a run.  Negative
+        # timestamps (rank - n_ports) are older than every real cycle
+        # (>= 0) and than the never-granted initial value only relative
+        # to each other — exactly the recorded relative order.
+        self._last_grant = [rank - self.n_ports for rank in ranks]
+
+    @property
+    def spec(self) -> str:
+        return "lru"
+
+
+class SplitPolicy(ArbiterPolicy):
+    """Separate policies for the two conflict kinds.
+
+    ``bank`` ranks cross-CPU simultaneous bank conflicts (a job's
+    ``priority``), ``section`` ranks per-CPU path conflicts (its
+    ``intra_priority``); real machines may differ here — the X-MP's
+    port priority within a CPU was fixed by port role while the
+    inter-CPU rule rotated.  Both policies tick once per clock, but
+    only the bank policy hears grants.  The section policy therefore
+    never learns who won: a split ``intra_priority="lru"`` ranks path
+    conflicts exactly like ``fixed`` (never-granted ties fall back to
+    port order).  Exact outcomes and stored results depend on this.
+    """
+
+    def __init__(self, bank: ArbiterPolicy, section: ArbiterPolicy) -> None:
+        self.bank = bank
+        self.section = section
+        self.static = bank.static and section.static
+
+    def rank_section(self, contenders: Sequence[int], cycle: int) -> int:
+        return self.section.rank_section(contenders, cycle)
+
+    def rank_bank(
+        self, contenders: Sequence[int], bank: int | None, cycle: int
+    ) -> int:
+        return self.bank.rank_bank(contenders, bank, cycle)
+
+    def favoured(self, n_ports: int, cycle: int) -> int:
+        return self.bank.favoured(n_ports, cycle)
+
+    def granted(self, port: int, bank: int, cycle: int) -> None:
+        self.bank.granted(port, bank, cycle)
+
+    def tick(self, cycle: int) -> None:
+        self.bank.tick(cycle)
+        self.section.tick(cycle)
+
+    def snapshot(self) -> tuple:
+        return (self.bank.snapshot(), self.section.snapshot())
+
+    def restore(self, snap: tuple) -> None:
+        if not isinstance(snap, tuple) or len(snap) != 2:
+            raise ValueError(
+                f"priority-arbiter snapshot must be a "
+                f"(priority, intra) pair, got {snap!r}"
+            )
+        self.bank.restore(snap[0])
+        self.section.restore(snap[1])
+
+    @property
+    def spec(self) -> str:
+        return f"{self.bank.spec}/{self.section.spec}"
 
 
 # ----------------------------------------------------------------------
@@ -548,8 +638,39 @@ class RegulatedArbiter(ArbiterPolicy):
 
 
 # ----------------------------------------------------------------------
-# Factories
+# Spec strings: the one place they are parsed and turned into policies
 # ----------------------------------------------------------------------
+def parse_priority(name: str) -> tuple[str, int]:
+    """Validate a priority spec, returning ``(kind, block)``.
+
+    The one grammar authority: :func:`make_arbiter`, job validation,
+    the batch core's rule codes and the serve wire contract all route
+    through it, so a malformed spec fails everywhere with the same
+    "invalid priority spec" message.
+    """
+    if name in ("fixed", "cyclic", "lru"):
+        return name, 1
+    if isinstance(name, str) and name.startswith("block-cyclic:"):
+        spec = name.split(":", 1)[1]
+        try:
+            block = int(spec)
+        except ValueError:
+            raise ValueError(
+                f"invalid priority spec {name!r}: block length {spec!r} "
+                f"is not an integer"
+            ) from None
+        if block <= 0:
+            raise ValueError(
+                f"invalid priority spec {name!r}: block length must be "
+                f"positive"
+            )
+        return "block-cyclic", block
+    raise ValueError(
+        f"invalid priority spec {name!r}: expected 'fixed', 'cyclic', "
+        f"'lru' or 'block-cyclic:N'"
+    )
+
+
 def canonical_arbiter(spec: str | None, n_ports: int) -> str | None:
     """Validate and normalise an arbiter spec string.
 
@@ -584,6 +705,19 @@ def canonical_arbiter(spec: str | None, n_ports: int) -> str | None:
     )
 
 
+def _priority_policy(spec: str, n_ports: int) -> ArbiterPolicy:
+    """The policy a priority spec names: LRU, or a favoured-port
+    schedule (``cyclic`` is ``block-cyclic:1``)."""
+    kind, block = parse_priority(spec)
+    if kind == "lru":
+        return LRUPolicy(n_ports)
+    if kind == "fixed":
+        return SchedulePolicy(spec, [0])
+    return SchedulePolicy(
+        spec, [p for p in range(n_ports) for _ in range(block)]
+    )
+
+
 def make_arbiter(
     n_ports: int,
     banks: int,
@@ -593,22 +727,21 @@ def make_arbiter(
     arbiter: str | None = None,
     regulate: Sequence[str] = (),
 ) -> ArbiterPolicy:
-    """Build the policy for one job's spec strings."""
+    """Build the policy for one job's spec strings.
+
+    The one constructor: the reference engine and the flat core both
+    build their policy here.  The priority specs are validated even
+    when a ``wfq`` arbiter replaces them.
+    """
+    base = _priority_policy(priority, n_ports)
+    if intra_priority is not None:
+        base = SplitPolicy(base, _priority_policy(intra_priority, n_ports))
     spec = canonical_arbiter(arbiter, n_ports)
-    base: ArbiterPolicy
-    if spec is None:
-        prio = make_priority(priority, n_ports)
-        intra = (
-            prio if intra_priority is None else make_priority(
-                intra_priority, n_ports
-            )
+    if spec is not None:
+        weights = [int(w) for w in spec[len("wfq:"):].split(",")]
+        base = SchedulePolicy(spec, _wrr_schedule(weights))
+    if regulate:
+        base = RegulatedArbiter(
+            base, validate_regulation(regulate, n_ports, banks), n_ports, banks
         )
-        base = PriorityArbiter(prio, intra)
-    else:
-        base = WeightedFairArbiter(
-            [int(w) for w in spec[len("wfq:"):].split(",")]
-        )
-    if not regulate:
-        return base
-    parsed = validate_regulation(regulate, n_ports, banks)
-    return RegulatedArbiter(base, parsed, n_ports, banks)
+    return base

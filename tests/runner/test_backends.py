@@ -260,3 +260,40 @@ class TestBatchPolicyFallback:
         )
         with pytest.raises(ValueError, match="batch core"):
             run_span_batch([span], 10)
+
+
+class TestFusedPairKernel:
+    """The flat core picks its fused two-port kernels from the policy:
+    a static policy (the fixed rule) on two ports, nothing else."""
+
+    @staticmethod
+    def _sim(specs, **kw):
+        from repro.runner.fastsim import FlatSim
+
+        cfg = MemoryConfig(banks=12, bank_cycle=3, sections=3)
+        return FlatSim.from_job(SimJob.from_specs(cfg, specs, **kw))
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"priority": "fixed", "intra_priority": "fixed"},
+        {"cpus": [0, 0]},
+    ])
+    def test_fixed_pairs_run_fused(self, kw):
+        from repro.runner.fastsim import FlatSim
+
+        sim = self._sim([(0, 1), (1, 1)], **kw)
+        assert sim.static
+        assert sim.step.__func__ is FlatSim._step_pair_fixed
+
+    @pytest.mark.parametrize("specs,kw", [
+        ([(0, 1), (1, 1)], {"priority": "cyclic"}),
+        ([(0, 1), (1, 1)], {"intra_priority": "lru"}),
+        ([(0, 1), (1, 1)], {"arbiter": "wfq:1,1"}),
+        ([(0, 1), (1, 1)], {"regulate": ["stream=1/2"]}),
+        ([(0, 1), (1, 1), (2, 1)], {}),
+    ])
+    def test_everything_else_takes_the_generic_step(self, specs, kw):
+        from repro.runner.fastsim import FlatSim
+
+        sim = self._sim(specs, **kw)
+        assert sim.step.__func__ is FlatSim._step_policy

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.arbiter import (
-    PriorityArbiter,
+    LRUPolicy,
     RegulationSpec,
     RegulatedArbiter,
+    SchedulePolicy,
+    SplitPolicy,
     TokenBucket,
-    WeightedFairArbiter,
     canonical_arbiter,
     canonical_regulation,
     make_arbiter,
@@ -18,12 +19,11 @@ from repro.sim.arbiter import (
     regulation_renumbering_safe,
     validate_regulation,
 )
-from repro.sim.priority import (
-    BlockCyclicPriority,
-    CyclicPriority,
-    FixedPriority,
-    LRUPriority,
-)
+
+
+def rule(spec: str, n_ports: int):
+    """The policy a priority spec names."""
+    return make_arbiter(n_ports, 8, priority=spec)
 
 
 class TestRegulationGrammar:
@@ -105,23 +105,23 @@ class TestTokenBucket:
             bucket.tick()
 
 
-class TestPriorityArbiterDelegation:
+class TestSplitPolicy:
     def test_matches_raw_rules_bit_for_bit(self):
-        prio, intra = CyclicPriority(3), LRUPriority(3)
-        ref_prio, ref_intra = CyclicPriority(3), LRUPriority(3)
-        pol = PriorityArbiter(prio, intra)
+        pol = SplitPolicy(rule("cyclic", 3), LRUPolicy(3))
+        ref_prio, ref_intra = rule("cyclic", 3), LRUPolicy(3)
         for cycle in range(24):
             contenders = [cycle % 3, (cycle + 1) % 3]
             contenders.sort()
-            assert pol.rank_bank(contenders, 0, cycle) == ref_prio.choose(
-                contenders, cycle
+            assert pol.rank_bank(contenders, 0, cycle) == ref_prio.rank_bank(
+                contenders, 0, cycle
             )
-            assert pol.rank_section(contenders, cycle) == ref_intra.choose(
+            assert pol.rank_section(
                 contenders, cycle
-            )
+            ) == ref_intra.rank_section(contenders, cycle)
             winner = pol.rank_bank(contenders, 0, cycle)
+            # Only the bank policy hears grants.
             pol.granted(winner, 0, cycle)
-            ref_prio.granted(winner, cycle)
+            ref_prio.granted(winner, 0, cycle)
             pol.tick(cycle)
             ref_prio.tick(cycle)
             ref_intra.tick(cycle)
@@ -130,32 +130,43 @@ class TestPriorityArbiterDelegation:
             )
 
     def test_shared_rule_ticks_once(self):
-        rule = BlockCyclicPriority(2, block=3)
-        pol = PriorityArbiter(rule)  # intra defaults to the same object
+        pol = make_arbiter(2, 8, priority="block-cyclic:3")
+        assert isinstance(pol, SchedulePolicy)  # no intra: one policy
         pol.tick(0)
-        assert rule.snapshot() == (1,)
+        assert pol.snapshot() == (1,)
 
     def test_snapshot_restore_roundtrip_and_validation(self):
-        pol = PriorityArbiter(CyclicPriority(2), LRUPriority(2))
+        pol = SplitPolicy(rule("cyclic", 2), LRUPolicy(2))
         pol.granted(1, 0, cycle=0)
         pol.tick(0)
         snap = pol.snapshot()
-        twin = PriorityArbiter(CyclicPriority(2), LRUPriority(2))
+        twin = SplitPolicy(rule("cyclic", 2), LRUPolicy(2))
         twin.restore(snap)
         assert twin.snapshot() == snap
         with pytest.raises(ValueError, match="priority-arbiter snapshot"):
             twin.restore((1,))
 
+    def test_section_policy_hears_no_grants(self):
+        """A split LRU section policy is never told who won, so it
+        keeps ranking path conflicts by port order, like ``fixed``."""
+        pol = make_arbiter(3, 8, priority="cyclic", intra_priority="lru")
+        for cycle in range(12):
+            assert pol.rank_section([0, 1, 2], cycle) == 0
+            pol.granted(0, 0, cycle)
+            pol.tick(cycle)
+
     def test_never_regulated(self):
-        pol = PriorityArbiter(FixedPriority())
+        pol = make_arbiter(2, 8, priority="fixed", intra_priority="fixed")
+        assert isinstance(pol, SplitPolicy)
         assert not pol.regulated
+        assert pol.static  # both halves are the fixed rule
         assert pol.admit(0, 5, 0)
-        assert pol.spec == "priority(fixed)"
+        assert pol.spec == "fixed/fixed"
 
 
 class TestWeightedFair:
     def test_schedule_frequencies_match_weights(self):
-        pol = WeightedFairArbiter([3, 1])
+        pol = make_arbiter(2, 8, arbiter="wfq:3,1")
         favoured = []
         for cycle in range(8):
             favoured.append(pol.favoured(2, cycle))
@@ -165,17 +176,17 @@ class TestWeightedFair:
         assert favoured[:4].count(1) == 1
 
     def test_equal_weights_degenerate_to_cyclic(self):
-        pol = WeightedFairArbiter([1, 1, 1])
-        rule = CyclicPriority(3)
+        pol = make_arbiter(3, 8, arbiter="wfq:1,1,1")
+        cyclic = rule("cyclic", 3)
         for cycle in range(9):
-            assert pol.rank_bank([0, 1, 2], None, cycle) == rule.choose(
-                [0, 1, 2], cycle
+            assert pol.rank_bank([0, 1, 2], None, cycle) == cyclic.rank_bank(
+                [0, 1, 2], None, cycle
             )
             pol.tick(cycle)
-            rule.tick(cycle)
+            cyclic.tick(cycle)
 
     def test_restore_validation(self):
-        pol = WeightedFairArbiter([2, 1])
+        pol = make_arbiter(2, 8, arbiter="wfq:2,1")
         with pytest.raises(ValueError, match="wfq snapshot"):
             pol.restore((1, 2))
         with pytest.raises(ValueError, match="out of range"):
@@ -185,11 +196,11 @@ class TestWeightedFair:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            WeightedFairArbiter([])
-        with pytest.raises(ValueError, match="positive integers"):
-            WeightedFairArbiter([1, 0])
-        with pytest.raises(ValueError, match="positive integers"):
-            WeightedFairArbiter([1, True])
+            SchedulePolicy("wfq:", [])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            make_arbiter(2, 8, arbiter="wfq:1,0")
+        with pytest.raises(ValueError, match="comma-separated integers"):
+            make_arbiter(2, 8, arbiter="wfq:1,True")
 
 
 class TestRegulatedArbiter:
@@ -268,9 +279,13 @@ class TestArbiterSpec:
             canonical_arbiter(spec, n)
 
     def test_factory_builds_expected_types(self):
-        assert isinstance(make_arbiter(2, 8), PriorityArbiter)
+        assert isinstance(make_arbiter(2, 8), SchedulePolicy)
+        assert isinstance(make_arbiter(2, 8, priority="lru"), LRUPolicy)
         assert isinstance(
-            make_arbiter(2, 8, arbiter="wfq:1,1"), WeightedFairArbiter
+            make_arbiter(2, 8, intra_priority="lru"), SplitPolicy
+        )
+        assert isinstance(
+            make_arbiter(2, 8, arbiter="wfq:1,1"), SchedulePolicy
         )
         assert isinstance(
             make_arbiter(2, 8, regulate=["stream=1/2"]), RegulatedArbiter

@@ -9,8 +9,8 @@ import pytest
 from repro.core.stream import AccessStream
 from repro.memory.config import MemoryConfig
 from repro.sim.engine import Engine, simulate_streams
+from repro.sim.arbiter import SchedulePolicy, make_arbiter
 from repro.sim.port import Port
-from repro.sim.priority import LRUPriority
 
 
 def build(config, cpu_of, streams, **kw):
@@ -62,7 +62,7 @@ class TestLruEndToEnd:
         cfg = MemoryConfig(banks=4, bank_cycle=1)
         eng = build(
             cfg, [0, 1], [AccessStream(0, 0), AccessStream(0, 0)],
-            priority=LRUPriority(2),
+            priority="lru",
         )
         eng.run(20)
         g = eng.stats.per_port_grants()
@@ -72,7 +72,7 @@ class TestLruEndToEnd:
         cfg = MemoryConfig(banks=4, bank_cycle=1)
         eng = build(
             cfg, [0, 1], [AccessStream(0, 0), AccessStream(0, 0)],
-            priority=LRUPriority(2),
+            priority="lru",
         )
         bw, period, grants, start = eng.run_to_steady_state()
         assert bw == 1  # the bank serves one grant per clock
@@ -132,7 +132,8 @@ class TestSplitPriorityRules:
     def test_default_single_rule_serves_both(self):
         cfg = MemoryConfig(banks=8, bank_cycle=2)
         eng = build(cfg, [0], [AccessStream(0, 1)], priority="cyclic")
-        assert eng.intra_priority is eng.priority
+        assert isinstance(eng.arbiter, SchedulePolicy)
+        assert eng.arbiter.spec == "cyclic"
 
     def test_xmp_style_combo(self):
         """Fixed intra-CPU (port role) + rotating inter-CPU priority:
@@ -174,3 +175,25 @@ class TestSplitPriorityRules:
         bw, period, grants, start = eng.run_to_steady_state()
         # the paper's block rule applied intra-CPU frees the Fig. 8 pair
         assert bw == 2
+
+
+class TestPolicyInstance:
+    """A policy instance carries its whole arbitration; spec arguments
+    next to one would be silently ignored, so the engine refuses them."""
+
+    @pytest.mark.parametrize("extra", [
+        {"priority": "cyclic"},
+        {"intra_priority": "lru"},
+        {"regulate": ("stream=1/2",)},
+    ])
+    def test_spec_arguments_alongside_an_instance_raise(self, extra):
+        cfg = MemoryConfig(banks=8, bank_cycle=2)
+        policy = make_arbiter(2, cfg.banks, priority="lru")
+        with pytest.raises(ValueError, match="not alongside one"):
+            Engine(cfg, [Port(index=0), Port(index=1)], arbiter=policy, **extra)
+
+    def test_instance_alone_is_used(self):
+        cfg = MemoryConfig(banks=8, bank_cycle=2)
+        policy = make_arbiter(2, cfg.banks, priority="lru")
+        eng = Engine(cfg, [Port(index=0), Port(index=1)], arbiter=policy)
+        assert eng.arbiter is policy

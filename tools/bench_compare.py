@@ -26,11 +26,12 @@ ladder, ``--scheduler pool|shard`` picking its placement policy::
 
 **Artifact comparison** (``--compare BEFORE AFTER``) — reads two such
 wall-clock artifacts (same-machine captures) and reports per-benchmark
-speedups; ``--keys SUBSTR [SUBSTR ...]`` restricts the comparison to
-matching benchmark keys.  CI runs this on the committed
+speedups; ``--keys NAME [NAME ...]`` restricts the comparison to the
+benchmarks whose test name (the part of the key after ``::``) equals
+one of the names.  CI runs this on the committed
 ``BENCH_before.json`` / ``BENCH_after.json`` pair with
-``--keys census_population --min-speedup 5`` to pin the lockstep batch
-core's reason to exist.
+``--keys test_census_population --min-speedup 5`` to pin the lockstep
+batch core's reason to exist.
 """
 
 from __future__ import annotations
@@ -154,13 +155,15 @@ def _compare_artifacts(
     keys: list[str] | None = None,
 ) -> dict:
     """Per-benchmark speedups between two wall-clock artifacts,
-    optionally restricted to benchmark keys containing a ``keys``
-    substring."""
+    optionally restricted to the benchmarks whose test name (the part
+    of the key after ``::``) is one of ``keys``.  Names match exactly:
+    a substring such as ``regime_census`` would also match every test
+    in ``bench_regime_census.py`` through the file path."""
     before = json.loads(pathlib.Path(before_path).read_text())["benchmarks"]
     after = json.loads(pathlib.Path(after_path).read_text())["benchmarks"]
     shared = sorted(set(before) & set(after))
     if keys:
-        shared = [k for k in shared if any(sub in k for sub in keys)]
+        shared = [k for k in shared if k.rpartition("::")[2] in keys]
     if not shared:
         raise SystemExit(
             f"no shared benchmarks between {before_path} and {after_path}"
@@ -198,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                          "instead of backend throughput")
     ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                     help="compare two wall-clock JSON artifacts")
-    ap.add_argument("--keys", nargs="+", metavar="SUBSTR",
-                    help="restrict --compare to benchmark keys "
-                         "containing any of these substrings")
+    ap.add_argument("--keys", nargs="+", metavar="NAME",
+                    help="restrict --compare to the benchmarks with these "
+                         "test names (the part of the key after '::')")
     ap.add_argument("--backend",
                     help="with --sweeps, pin $REPRO_BENCH_BACKEND for "
                          "the backend-parametrized benches")
