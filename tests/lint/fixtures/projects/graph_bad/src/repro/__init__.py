@@ -1,1 +1,1 @@
-"""IMPORT001 bad fixture tree: three layering violations."""
+"""Layer bad fixture tree: upward, leaf, cycle and boundary-call violations."""

@@ -1,0 +1,3 @@
+class Engine:
+    def __init__(self, cfg):
+        self.cfg = cfg
