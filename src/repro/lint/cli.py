@@ -14,13 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .framework import (
-    CACHE_FILENAME,
-    all_rules,
-    find_project_root,
-    get_rules,
-    lint_paths,
-)
+from .framework import all_rules, find_project_root, get_rules, lint_paths
 from .report import render_json, render_text
 
 __all__ = ["add_lint_arguments", "build_parser", "main", "run_from_namespace"]
@@ -37,40 +31,17 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
+        "--format", choices=["text", "json"], default="text",
         dest="output_format", help="stdout format (default: text)",
     )
     parser.add_argument(
         "--output", type=str, default=None, metavar="FILE",
-        help="also write the report to FILE (JSON, or SARIF when "
-             "--format sarif) for CI artifacts",
+        help="also write the JSON report to FILE for CI artifacts",
     )
     parser.add_argument(
         "--root", type=str, default=None, metavar="DIR",
         help="project root for cross-file rules (default: nearest "
              "ancestor with a pyproject.toml)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint files over N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=f"disable the incremental cache ({CACHE_FILENAME} "
-             "next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--baseline", type=str, default=None, metavar="FILE",
-        help="filter findings against a committed baseline snapshot",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit clean",
-    )
-    parser.add_argument(
-        "--report-unused-suppressions", action="store_true",
-        help="flag # reprolint: waivers that no longer suppress anything "
-             "(SUPPRESS001)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -82,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description="AST-based invariant analyzer for the reproduction "
-                    "(exactness, determinism, runner-layer discipline, "
-                    "import layering, pool safety)",
+                    "(exactness, determinism, layering, pool safety)",
     )
     add_lint_arguments(parser)
     return parser
@@ -116,51 +86,15 @@ def run_from_namespace(args: argparse.Namespace) -> int:
     if missing:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
 
     root = Path(args.root) if args.root else find_project_root(paths[0])
-    cache: Path | None = None
-    if not args.no_cache and root is not None:
-        cache = root / CACHE_FILENAME
-
-    try:
-        report = lint_paths(
-            paths,
-            rules=rules,
-            root=root,
-            jobs=args.jobs,
-            cache=cache,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-            report_unused_suppressions=args.report_unused_suppressions,
-        )
-    except ValueError as exc:  # unreadable baseline
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.output_format == "sarif":
-        from .sarif import render_sarif
-
-        rendered = render_sarif(report, rules=rules)
-    elif args.output_format == "json":
-        rendered = render_json(report)
-    else:
-        rendered = None
-
+    report = lint_paths(paths, rules=rules, root=root)
     if args.output:
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            rendered if rendered is not None else render_json(report),
-            encoding="utf-8",
-        )
-    if rendered is not None:
-        print(rendered, end="")
+        out.write_text(render_json(report), encoding="utf-8")
+    if args.output_format == "json":
+        print(render_json(report), end="")
     else:
         print(render_text(report))
     return 0 if report.clean else 1

@@ -1,4 +1,4 @@
-"""IMPORT001: the repository layer DAG, enforced on the import graph.
+"""LAYER001: the repository layering, on imports and on engine calls.
 
 The reproduction's module architecture is a strict layering::
 
@@ -14,25 +14,29 @@ The reproduction's module architecture is a strict layering::
 
 A module may import downward (strictly smaller rank) or sideways
 (same rank, including its own package); importing *upward* inverts the
-dependency arrow and is rejected.  The handful of sanctioned inversions
-— the runner's engine-primitive boundary, mirror of LAYER001's
-``BLESSED`` set — are listed in :data:`BLESSED_EDGES`.
+dependency arrow and is rejected.  Cycles are checked on the *eager*
+subgraph only: a function-scoped or ``TYPE_CHECKING``-guarded import
+does not execute at import time, so it cannot deadlock module
+initialisation — moving an import into the function that needs it is
+the sanctioned way to break a cycle, and the layer check still polices
+the edge's direction.
 
-Cycles are checked on the *eager* subgraph only: a function-scoped or
-``TYPE_CHECKING``-guarded import does not execute at import time, so it
-cannot deadlock module initialisation — moving an import into the
-function that needs it is the sanctioned way to break a cycle, and the
-layer check still polices the edge's direction.
+Every simulation rides ``run(job, backend=...)`` so backends stay
+interchangeable and sweeps stay cacheable: an engine primitive
+(:data:`PRIMITIVES`) may be *called* only in its home module or across
+a calling row of :data:`BOUNDARY`.  That one table also lists the
+sanctioned upward imports; most of its rows license the import alone.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Iterator
 
-from .framework import Finding, ProjectRule, register_rule
+from .framework import Finding, Rule, register_rule
 from .index import ImportEdge, ModuleInfo, ProjectIndex
 
-__all__ = ["BLESSED_EDGES", "LAYER_RANKS", "ImportGraphRule", "layer_rank"]
+__all__ = ["BOUNDARY", "LAYER_RANKS", "LayerRule", "layer_rank"]
 
 #: Rank of each top-level ``repro`` subpackage; smaller = lower layer.
 LAYER_RANKS: dict[str, int] = {
@@ -62,25 +66,40 @@ DEFAULT_RANK = 4
 #: context — including each other's absence.
 LEAF_PACKAGES = frozenset({"obs", "lint"})
 
-#: Sanctioned upward edges (importer module, imported module): the
-#: engine-primitive boundary the runner backends own (mirror of
-#: LAYER001's ``BLESSED`` module set), plus the spec boundary —
-#: ``SimJob``, the analytic tier and the batch core consult the sim
-#: layer's arbitration grammar, and the flat core builds its policy
-#: there (function-scoped imports, so the eager graph stays acyclic),
-#: to reject malformed specs at construction and to keep closed forms
-#: honest about regulated jobs.
-BLESSED_EDGES = frozenset(
-    {
-        ("repro.runner.analytic", "repro.sim.arbiter"),
-        ("repro.runner.backends", "repro.sim.engine"),
-        ("repro.runner.batchsim", "repro.sim.arbiter"),
-        ("repro.runner.fastsim", "repro.sim.arbiter"),
-        ("repro.runner.job", "repro.sim.arbiter"),
-        ("repro.runner.job", "repro.sim.engine"),
-        ("repro.runner.resilience", "repro.sim.engine"),
-    }
-)
+#: Engine primitives by home module.  Calling one bypasses backend
+#: checking and the executor's cache; the batch core's entry points
+#: also skip the error/fallback bookkeeping only ``BatchBackend`` does.
+PRIMITIVES: dict[str, tuple[str, ...]] = {
+    "repro.sim.engine": ("Engine", "simulate_streams"),
+    "repro.sim.port": ("Port",),
+    "repro.runner.fastsim": ("FlatSim", "find_steady_cycle"),
+    "repro.runner.batchsim": (
+        "BatchSim", "run_steady_batch", "run_span_batch",
+    ),
+}
+
+#: The sanctioned boundary edges, (importer, imported module) -> whether
+#: the importer may also *call* the imported module's primitives.  An
+#: upward import on this table is not a finding.  The calling rows are
+#: the backends driving every core, and the reference engine building
+#: ports and handing steady-state search to the flat core.  The other
+#: rows are the spec boundary: ``SimJob``, the analytic tier and the
+#: cores consult the sim layer's arbitration grammar (function-scoped
+#: imports, so the eager graph stays acyclic) to reject malformed specs
+#: at construction, and may never run an engine.
+BOUNDARY: dict[tuple[str, str], bool] = {
+    ("repro.runner.backends", "repro.runner.batchsim"): True,
+    ("repro.runner.backends", "repro.runner.fastsim"): True,
+    ("repro.runner.backends", "repro.sim.engine"): True,
+    ("repro.sim.engine", "repro.runner.fastsim"): True,
+    ("repro.sim.engine", "repro.sim.port"): True,
+    ("repro.runner.analytic", "repro.sim.arbiter"): False,
+    ("repro.runner.batchsim", "repro.sim.arbiter"): False,
+    ("repro.runner.fastsim", "repro.sim.arbiter"): False,
+    ("repro.runner.job", "repro.sim.arbiter"): False,
+    ("repro.runner.job", "repro.sim.engine"): False,
+    ("repro.runner.resilience", "repro.sim.engine"): False,
+}
 
 
 def layer_rank(package: str) -> int:
@@ -88,22 +107,57 @@ def layer_rank(package: str) -> int:
     return LAYER_RANKS.get(package, DEFAULT_RANK)
 
 
-def _top_package(module: str) -> str:
-    parts = module.split(".")
-    return parts[1] if len(parts) > 1 else ""
+def _primitive_home(origin: str) -> str | None:
+    """Home module of the engine primitive a call origin names.
+
+    Matched by dotted suffix (``sim.engine.Engine``), so a relative
+    import in a module of unknown package resolves identically.
+    """
+    for home, names in PRIMITIVES.items():
+        suffix = home[len("repro."):]
+        for name in names:
+            target = f"{suffix}.{name}"
+            if origin == target or origin.endswith("." + target):
+                return home
+    return None
 
 
 @register_rule
-class ImportGraphRule(ProjectRule):
-    """Layer DAG over the whole-program import graph."""
+class LayerRule(Rule):
+    """The layer DAG on imports, and the runner boundary on calls."""
 
-    code = "IMPORT001"
-    name = "import-layer-dag"
+    code = "LAYER001"
+    name = "layer-discipline"
     description = (
         "repro packages import only downward in the layer DAG "
-        "(obs/lint < core < memory < runner < engines < serve < cli); "
-        "upward imports and eager import cycles are rejected"
+        "(obs/lint < core < memory < runner < engines < serve < cli), "
+        "with no eager import cycles; engine primitives are called "
+        "only in their home module or across a calling boundary edge, "
+        "and everything else rides run(job, backend=...)."
     )
+
+    def applies_to(self, info: ModuleInfo) -> bool:
+        # tools/ write committed artifacts, so they ride the runner
+        # like package code; tests must construct engines to test them.
+        return info.in_package("repro") or info.role == "tools"
+
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            origin = info.resolve(node.func)
+            home = _primitive_home(origin) if origin else None
+            if home is None or home == info.module:
+                continue
+            if BOUNDARY.get((info.module, home)):
+                continue
+            short = origin.rsplit(".", 1)[-1]
+            yield self.finding(
+                info, node,
+                f"direct {short}() call bypasses the runner layer; build "
+                "a SimJob and call run(job, backend=...) so the result "
+                "is backend-checked and cacheable",
+            )
 
     def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
         yield from self._check_layers(project)
@@ -116,7 +170,7 @@ class ImportGraphRule(ProjectRule):
         for info in project.repro_modules():
             if info.role != "src":
                 continue  # test/tool doubles may shadow repro names
-            src_pkg = _top_package(info.module)
+            src_pkg = info.package
             src_rank = layer_rank(src_pkg)
             seen: set[tuple[str, int]] = set()
             for edge in info.imports:
@@ -125,10 +179,10 @@ class ImportGraphRule(ProjectRule):
                     continue
                 if not target.module.startswith("repro"):
                     continue
-                dst_pkg = _top_package(target.module)
+                dst_pkg = target.package
                 if dst_pkg == src_pkg:
                     continue
-                if (info.module, target.module) in BLESSED_EDGES:
+                if (info.module, target.module) in BOUNDARY:
                     continue
                 key = (target.module, edge.lineno)
                 if key in seen:

@@ -1,47 +1,46 @@
-"""The whole-program :class:`ProjectIndex`: one parse pass over the tree.
+"""One parse pass: the per-module facts every reprolint rule reads.
 
-Per-file AST rules cannot see an upward import, a worker closure that
-will not survive the pickle boundary, or a metric name minted outside
-``repro.obs.names`` — the invariants PRs 5-6 moved across process and
-module boundaries.  The index is the shared substrate every
-cross-file rule (IMPORT001, PAR001, OBS002, DEAD001, API001) runs on:
-it parses each Python file in the repository tree exactly once and
+:func:`build_module_info` reads one source text once: it tokenises it
+once (for the ``# reprolint:`` comments) and parses it once, and
 records, per module,
 
 * the dotted module name, top-level package and *role* (``src`` /
   ``tests`` / ``tools`` / ``benchmarks`` / ``examples``),
+* the parsed tree and the suppression directives,
 * the module-level symbol table and ``__all__`` export list,
 * every import edge, alias-resolved and tagged *eager* (executes at
   import time) or *lazy* (function-scoped or ``TYPE_CHECKING``-guarded
   — the sanctioned cycle-breaking idiom),
 * a coarse use map: every dotted name the module references, expanded
   to all prefixes so ``names.FOO.bit_length`` counts as a use of both
-  ``repro.obs.names`` and ``repro.obs.names.FOO``,
-* the suppression directives, so project-rule findings honour the same
-  waivers file rules do.
+  ``repro.obs.names`` and ``repro.obs.names.FOO``.
 
-The index is deliberately *not* cached on disk — only its
-:attr:`ProjectIndex.digest` is.  A warm lint run recomputes the cheap
-content digest, sees it unchanged, and replays the cached project
-findings without parsing anything (see ``framework.lint_paths``).
+:class:`ProjectIndex` holds one :class:`ModuleInfo` per file of the
+repository tree.  The lint driver builds it once per run: file rules
+read a linted file's entry, project rules read the whole index, and a
+linted file outside the tree is built by the same function.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
-
-from .framework import Suppressions, module_name_for_path
 
 __all__ = [
     "ImportEdge",
     "ModuleInfo",
     "ProjectIndex",
+    "Suppressions",
     "TREE_DIRS",
+    "build_module_info",
+    "dotted_name",
     "iter_tree_files",
+    "module_name_for_path",
     "role_for_path",
 ]
 
@@ -52,6 +51,135 @@ TREE_DIRS = ("src", "tests", "tools", "benchmarks", "examples")
 #: and lint fixtures (fixtures are *data* — intentionally-bad sources
 #: that would otherwise pollute the import graph with fake modules).
 EXCLUDED_PARTS = frozenset({"__pycache__", "fixtures"})
+
+_DIRECTIVE = re.compile(
+    r"#\s*reprolint:\s*(disable|disable-next|disable-file)\s*="
+    r"\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
+)
+_MODULE_DIRECTIVE = re.compile(
+    r"#\s*reprolint:\s*module\s*=\s*([A-Za-z0-9_.]+)"
+)
+
+
+def _scan_comments(source: str) -> list[tuple[int, str]]:
+    """``(lineno, text)`` for every comment token in ``source``.
+
+    Tokenizing (rather than regex-scanning raw lines) keeps directives
+    inside *string literals* inert — a test asserting on the text
+    ``"# reprolint: disable=X"`` must not waive anything in the test
+    file itself.  Sources the tokenizer rejects fall back to scanning
+    every line.
+    """
+    comments: list[tuple[int, str]] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                comments.append((tok.start[0], tok.string))
+    except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
+        comments = list(enumerate(source.splitlines(), start=1))
+    return comments
+
+
+@dataclass
+class _Directive:
+    """One parsed ``# reprolint:`` waiver and its usage bookkeeping."""
+
+    lineno: int  #: line the directive sits on
+    kind: str  #: disable | disable-next | disable-file
+    rules: frozenset[str]
+    used: set[str] = field(default_factory=set)
+
+    def applies_to_line(self, line: int) -> bool:
+        if self.kind == "disable-file":
+            return True
+        if self.kind == "disable-next":
+            return line == self.lineno + 1
+        return line == self.lineno
+
+
+class Suppressions:
+    """Per-line and per-file rule waivers parsed from comments.
+
+    Every directive on a line is honoured (``finditer``, not the first
+    match), and each records which of its rule codes actually
+    suppressed a finding so stale waivers can be reported.
+    """
+
+    def __init__(self, comments: Iterable[tuple[int, str]]) -> None:
+        self._directives: list[_Directive] = []
+        for lineno, text in comments:
+            for m in _DIRECTIVE.finditer(text):
+                rules = frozenset(
+                    r.strip() for r in m.group(2).split(",") if r.strip()
+                )
+                if rules:
+                    self._directives.append(
+                        _Directive(lineno, m.group(1), rules)
+                    )
+
+    @classmethod
+    def parse(cls, source: str) -> "Suppressions":
+        return cls(_scan_comments(source))
+
+    def is_suppressed(self, rule: str, line: int) -> bool:
+        """Whether a ``rule`` finding on ``line`` is waived.
+
+        Marks **every** matching directive as used, so a finding
+        covered by both a line and a file waiver keeps both alive.
+        """
+        hit = False
+        for d in self._directives:
+            if not d.applies_to_line(line):
+                continue
+            if "all" in d.rules:
+                d.used.add("all")
+                hit = True
+            if rule in d.rules:
+                d.used.add(rule)
+                hit = True
+        return hit
+
+    def unused(self, active_codes: Iterable[str]) -> list[tuple[int, str]]:
+        """``(line, rule)`` waiver entries that suppressed nothing.
+
+        Only rules in ``active_codes`` are considered — a waiver for a
+        rule that did not run this invocation is not (yet) stale.  An
+        ``all`` entry is stale only when the full active set ran over
+        the line and nothing matched.
+        """
+        active = set(active_codes)
+        out: list[tuple[int, str]] = []
+        for d in self._directives:
+            for rule in sorted(d.rules):
+                if rule == "all":
+                    if not d.used:
+                        out.append((d.lineno, rule))
+                elif rule in active and rule not in d.used:
+                    out.append((d.lineno, rule))
+        return out
+
+
+def module_name_for_path(path: str | Path) -> str:
+    """Best-effort dotted module name for a file path.
+
+    Looks for the last ``repro`` component in the path (the package this
+    analyzer is written for) and joins everything from there; returns
+    ``""`` when the file is not under a ``repro`` tree.  ``__init__.py``
+    maps to its package name.
+    """
+    parts = list(Path(path).parts)
+    if "repro" not in parts:
+        return ""
+    idx = len(parts) - 1 - parts[::-1].index("repro")
+    mod_parts = parts[idx:]
+    last = mod_parts[-1]
+    if last.endswith(".py"):
+        last = last[: -len(".py")]
+    if last == "__init__":
+        mod_parts = mod_parts[:-1]
+    else:
+        mod_parts[-1] = last
+    return ".".join(mod_parts)
 
 
 def role_for_path(path: str | Path) -> str:
@@ -99,14 +227,17 @@ class ImportEdge:
 
 @dataclass
 class ModuleInfo:
-    """Everything the project rules may consult about one module."""
+    """Everything a rule may consult about one module."""
 
-    path: str  #: root-relative posix path
-    module: str  #: dotted name, "" when outside a repro tree
+    #: root-relative posix path for indexed files; the path as the
+    #: caller named it for a file linted from outside the index
+    path: str
+    #: dotted name: a ``# reprolint: module=`` directive first (fixtures
+    #: declare their scope), the path mapping second; "" outside repro
+    module: str
     package: str  #: top-level repro subpackage ("core", ...; "" = root)
     role: str  #: src | tests | tools | benchmarks | examples
     is_package: bool
-    digest: str  #: sha256 of the source bytes
     tree: ast.Module
     suppressions: Suppressions
     import_map: dict[str, str]  #: local name -> dotted origin
@@ -122,47 +253,53 @@ class ModuleInfo:
     #: modules star-imported (``from m import *``)
     star_imports: frozenset[str] = frozenset()
 
+    def in_package(self, *prefixes: str) -> bool:
+        """Whether this module lives under any of the dotted prefixes."""
+        return any(
+            self.module == p or self.module.startswith(p + ".")
+            for p in prefixes
+        )
 
-def _iter_eager_lazy(tree: ast.Module) -> Iterator[tuple[ast.stmt, bool]]:
-    """Yield import statements tagged lazy (not run at import time)."""
-
-    def visit(body: Iterable[ast.stmt], lazy: bool) -> Iterator[
-        tuple[ast.stmt, bool]
-    ]:
-        for node in body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield node, lazy
-            elif isinstance(node, ast.If):
-                test = node.test
-                guarded = lazy or (
-                    isinstance(test, ast.Name)
-                    and test.id == "TYPE_CHECKING"
-                ) or (
-                    isinstance(test, ast.Attribute)
-                    and test.attr == "TYPE_CHECKING"
-                )
-                yield from visit(node.body, guarded)
-                yield from visit(node.orelse, guarded)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(node.body, True)
-            elif isinstance(node, ast.ClassDef):
-                # Class bodies execute at import time.
-                yield from visit(node.body, lazy)
-            elif isinstance(node, ast.Try):
-                for block in (node.body, node.orelse, node.finalbody):
-                    yield from visit(block, lazy)
-                for handler in node.handlers:
-                    yield from visit(handler.body, lazy)
-            elif isinstance(node, (ast.With, ast.AsyncWith, ast.For,
-                                   ast.AsyncFor, ast.While)):
-                yield from visit(node.body, lazy)
-
-    yield from visit(tree.body, False)
+    def resolve(self, node: ast.expr) -> str | None:
+        """Dotted origin of a name or attribute chain, alias-resolved
+        through this module's imports (``None`` for other shapes)."""
+        chain = dotted_name(node)
+        if chain is None:
+            return None
+        head = self.import_map.get(chain[0], chain[0])
+        return ".".join([head, *chain[1:]])
 
 
-def _resolve_base(
-    base: str, level: int, pkg_parts: list[str]
-) -> str:
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _iter_imports(tree: ast.Module) -> Iterator[tuple[ast.stmt, bool]]:
+    """Every import statement, tagged lazy (not run at import time).
+
+    Function bodies and ``if TYPE_CHECKING:`` blocks are lazy; every
+    other statement body (class bodies included) runs with its parent.
+    """
+
+    def visit(node: ast.AST, lazy: bool) -> Iterator[tuple[ast.stmt, bool]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child, lazy
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, True)
+            elif isinstance(child, ast.If):
+                yield from visit(child, lazy or _is_type_checking(child.test))
+            elif isinstance(
+                child, (ast.stmt, ast.excepthandler, ast.match_case)
+            ):
+                yield from visit(child, lazy)
+
+    yield from visit(tree, False)
+
+
+def _resolve_base(base: str, level: int, pkg_parts: list[str]) -> str:
     """Anchor a relative import against the enclosing package."""
     if not level:
         return base
@@ -199,7 +336,8 @@ def _collect_exports(
     return None, {}
 
 
-def _dotted_chain(node: ast.expr) -> list[str] | None:
+def dotted_name(node: ast.expr) -> list[str] | None:
+    """``a.b.c`` attribute chain as a list, or ``None`` for other shapes."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -217,25 +355,37 @@ def _prefixes(dotted: str) -> Iterator[str]:
 
 
 def build_module_info(
-    path: Path,
-    rel_path: str,
+    path: str,
     source: str,
-    tree: ast.Module,
     *,
-    digest: str | None = None,
+    module: str | None = None,
+    is_package: bool | None = None,
 ) -> ModuleInfo:
-    """Index one parsed module (shared with the lint driver)."""
-    module = module_name_for_path(rel_path)
+    """Tokenise and parse one module once, and index it.
+
+    ``module``/``is_package`` override what the comments and ``path``
+    say.  Raises ``SyntaxError`` (or ``ValueError`` on null bytes) when
+    the source does not parse.
+    """
+    comments = _scan_comments(source)
+    tree = ast.parse(source)
+    if module is None:
+        declared = (
+            m.group(1)
+            for _, text in comments
+            if (m := _MODULE_DIRECTIVE.search(text)) is not None
+        )
+        module = next(declared, None) or module_name_for_path(path)
+    if is_package is None:
+        is_package = Path(path).name == "__init__.py"
     mod_parts = module.split(".") if module else []
-    package = mod_parts[1] if len(mod_parts) > 1 else ""
-    is_package = path.name == "__init__.py"
     pkg_parts = mod_parts if is_package else mod_parts[:-1]
 
     import_map: dict[str, str] = {}
     edges: list[ImportEdge] = []
     star: set[str] = set()
     uses: set[str] = set()
-    for node, lazy in _iter_eager_lazy(tree):
+    for node, lazy in _iter_imports(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
@@ -282,23 +432,20 @@ def build_module_info(
             if node.name not in symbols:
                 nested.add(node.name)
         elif isinstance(node, ast.Attribute):
-            chain = _dotted_chain(node)
+            chain = dotted_name(node)
             if chain is not None:
                 head = import_map.get(chain[0], chain[0])
                 uses.update(_prefixes(".".join([head, *chain[1:]])))
 
     exports, export_lines = _collect_exports(tree)
     return ModuleInfo(
-        path=rel_path,
+        path=path,
         module=module,
-        package=package,
-        role=role_for_path(rel_path),
+        package=mod_parts[1] if len(mod_parts) > 1 else "",
+        role=role_for_path(path),
         is_package=is_package,
-        digest=digest
-        if digest is not None
-        else hashlib.sha256(source.encode("utf-8")).hexdigest(),
         tree=tree,
-        suppressions=Suppressions.parse(source),
+        suppressions=Suppressions(comments),
         import_map=import_map,
         imports=tuple(edges),
         exports=exports,
@@ -335,7 +482,7 @@ def _script_uses(root: Path) -> frozenset[str]:
 
 @dataclass
 class ProjectIndex:
-    """The one-pass whole-program index project rules share."""
+    """The one-pass whole-program index every rule shares."""
 
     root: Path
     #: root-relative posix path -> module info
@@ -344,42 +491,20 @@ class ProjectIndex:
     by_module: dict[str, ModuleInfo]
     #: dotted-name uses rooted outside the tree (console scripts)
     script_uses: frozenset[str]
-    #: sha256 over (path, content digest) of every tree file
-    digest: str
-
-    @staticmethod
-    def content_digest(root: Path) -> str:
-        """Digest of the tree *content* — computable without parsing,
-        so a warm cache hit never pays for an AST."""
-        h = hashlib.sha256()
-        for path in iter_tree_files(Path(root)):
-            rel = path.relative_to(root).as_posix()
-            h.update(rel.encode("utf-8"))
-            h.update(b"\0")
-            h.update(hashlib.sha256(path.read_bytes()).digest())
-        return h.hexdigest()
 
     @classmethod
     def build(cls, root: str | Path) -> "ProjectIndex":
         root = Path(root)
         files: dict[str, ModuleInfo] = {}
         by_module: dict[str, ModuleInfo] = {}
-        h = hashlib.sha256()
         for path in iter_tree_files(root):
             rel = path.relative_to(root).as_posix()
-            raw = path.read_bytes()
-            digest = hashlib.sha256(raw).hexdigest()
-            h.update(rel.encode("utf-8"))
-            h.update(b"\0")
-            h.update(hashlib.sha256(raw).digest())
             try:
-                source = raw.decode("utf-8")
-                tree = ast.parse(source)
-            except (SyntaxError, ValueError, UnicodeDecodeError):
+                info = build_module_info(
+                    rel, path.read_bytes().decode("utf-8")
+                )
+            except (SyntaxError, ValueError):
                 continue  # unparsable files are PARSE001's business
-            info = build_module_info(
-                path, rel, source, tree, digest=digest
-            )
             files[rel] = info
             if info.module:
                 by_module[info.module] = info
@@ -388,7 +513,6 @@ class ProjectIndex:
             files=files,
             by_module=by_module,
             script_uses=_script_uses(root),
-            digest=h.hexdigest(),
         )
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The file-scoped reprolint rules.
+"""The reprolint rules other than the layer rule (see ``graph.py``).
 
 Each rule guards one invariant of the reproduction (see DESIGN.md §7):
 
@@ -24,11 +24,6 @@ Each rule guards one invariant of the reproduction (see DESIGN.md §7):
     over sets where the order can leak into results (Python set order is
     arbitrary across processes — exactly the hazard of the
     ``SweepExecutor`` fan-out).
-``LAYER001``
-    Every simulation rides ``run(job, backend=...)`` so backends stay
-    interchangeable and sweeps stay cacheable: the engine primitives
-    (``Engine``, ``Port``, ``simulate_streams``) may only be invoked
-    from ``repro.runner.backends`` and the blessed legacy shims.
 ``FROZEN001``
     ``SimJob``/``SimOutcome`` are frozen: cache keys and memoized
     outcomes assume value semantics, so ``object.__setattr__`` mutation
@@ -41,8 +36,8 @@ Each rule guards one invariant of the reproduction (see DESIGN.md §7):
     never flow into result values.  Benchmarks and tools outside the
     package time things however they like.
 
-Three *project* rules (whole-program, run once per invocation on the
-shared :class:`~repro.lint.index.ProjectIndex`) live here too:
+Three rules run once per invocation on the shared
+:class:`~repro.lint.index.ProjectIndex` (``check_project``):
 
 ``PAR001``
     Anything handed to a process pool (``.submit``/``.map`` in a module
@@ -62,26 +57,18 @@ shared :class:`~repro.lint.index.ProjectIndex`) live here too:
     ``__init__`` re-export lists are the curated public API and are
     exempt.
 
-File rules scope themselves by the module's dotted name (fixture files
-declare theirs with a ``# reprolint: module=`` directive); project
-rules additionally consult the file's tree role.
+Per-module checks scope themselves by the module's dotted name
+(fixture files declare theirs with a ``# reprolint: module=``
+directive); project checks additionally consult the file's tree role.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .framework import (
-    Finding,
-    LintContext,
-    ProjectRule,
-    Rule,
-    register_rule,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .index import ModuleInfo, ProjectIndex
+from .framework import Finding, Rule, register_rule
+from .index import ModuleInfo, ProjectIndex, dotted_name
 
 __all__ = [
     "ClockBoundaryRule",
@@ -91,71 +78,12 @@ __all__ = [
     "FrozenMutationRule",
     "MetricNameRule",
     "PoolSafetyRule",
-    "RunnerLayerRule",
 ]
 
 
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-def build_import_map(ctx: LintContext) -> dict[str, str]:
-    """Map local names to their dotted import origins.
-
-    ``import numpy as np``               → ``{"np": "numpy"}``
-    ``from numpy import random``         → ``{"random": "numpy.random"}``
-    ``from ..sim.engine import Engine``  → ``{"Engine": "repro.sim.engine.Engine"}``
-
-    Relative imports resolve against ``ctx.module`` when known; when the
-    package is unknown the unresolved leading levels are dropped, so
-    origin matching should compare by dotted *suffix*.
-    """
-    out: dict[str, str] = {}
-    pkg_parts: list[str] = []
-    if ctx.module:
-        parts = ctx.module.split(".")
-        pkg_parts = parts if ctx.is_package else parts[:-1]
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                origin = alias.name if alias.asname else alias.name.split(".")[0]
-                out[bound] = origin
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = pkg_parts[: len(pkg_parts) - (node.level - 1)]
-                base = ".".join(anchor + ([base] if base else []))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                out[bound] = f"{base}.{alias.name}" if base else alias.name
-    return out
-
-
-def dotted_name(node: ast.expr) -> list[str] | None:
-    """``a.b.c`` attribute chain as a list, or ``None`` for other shapes."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return parts[::-1]
-    return None
-
-
-def resolve_call_origin(
-    node: ast.Call, imports: dict[str, str]
-) -> str | None:
-    """Dotted origin of a call target, alias-resolved (best effort)."""
-    chain = dotted_name(node.func)
-    if not chain:
-        return None
-    head = imports.get(chain[0], chain[0])
-    return ".".join([head, *chain[1:]])
-
-
 class _ScopedVisitor(ast.NodeVisitor):
     """Visitor that tracks the enclosing function-name stack."""
 
@@ -214,12 +142,11 @@ class ExactnessRule(Rule):
 
     SCOPES = ("repro.core", "repro.runner", "repro.analysis", "repro.obs")
 
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_package(*self.SCOPES)
+    def applies_to(self, info: ModuleInfo) -> bool:
+        return info.in_package(*self.SCOPES)
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
         rule = self
-        imports = build_import_map(ctx)
 
         class V(_ScopedVisitor):
             def __init__(self) -> None:
@@ -234,37 +161,34 @@ class ExactnessRule(Rule):
             def visit_Constant(self, node: ast.Constant) -> None:
                 if type(node.value) is float:
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"float literal {node.value!r} on an exact path; "
                         "use Fraction or move it behind a *_float helper",
                     ))
                 elif type(node.value) is complex:
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"complex literal {node.value!r} on an exact path",
                     ))
 
             def visit_Attribute(self, node: ast.Attribute) -> None:
-                chain = dotted_name(node)
-                if chain is not None:
-                    head = imports.get(chain[0], chain[0])
-                    origin = ".".join([head, *chain[1:]])
-                    if origin in _NP_FLOAT_DTYPES:
-                        self.found.append(rule.finding(
-                            ctx, node,
-                            f"float dtype {origin} on an exact path; the "
-                            "state arrays stay np.int64/np.bool_ and "
-                            "bandwidth stays Fraction at the boundary",
-                        ))
+                origin = info.resolve(node)
+                if origin in _NP_FLOAT_DTYPES:
+                    self.found.append(rule.finding(
+                        info, node,
+                        f"float dtype {origin} on an exact path; the "
+                        "state arrays stay np.int64/np.bool_ and "
+                        "bandwidth stays Fraction at the boundary",
+                    ))
                 self.generic_visit(node)
 
             def _check_numpy_call(self, node: ast.Call) -> None:
-                origin = resolve_call_origin(node, imports)
+                origin = info.resolve(node.func)
                 if origin is None:
                     return
                 if origin in _NP_FLOAT_CALLS:
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"{origin}() produces floats from integer "
                         "arrays; use Fraction(a, b) or // at the "
                         "boundary",
@@ -282,23 +206,19 @@ class ExactnessRule(Rule):
                     )
                     if dtype is None:
                         self.found.append(rule.finding(
-                            ctx, node,
+                            info, node,
                             f"numpy.{parts[1]}() without an explicit "
                             "dtype defaults to float64 or a "
                             "platform-dependent integer; pin "
                             "dtype=np.int64 (or np.bool_/np.intp)",
                         ))
                         return
-                    chain = dotted_name(dtype)
-                    resolved = None
-                    if chain is not None:
-                        head = imports.get(chain[0], chain[0])
-                        resolved = ".".join([head, *chain[1:]])
+                    resolved = info.resolve(dtype)
                     if resolved in _NP_FLOAT_DTYPES:
                         return  # visit_Attribute already flags it
                     if resolved not in _NP_EXACT_DTYPES:
                         self.found.append(rule.finding(
-                            ctx, node,
+                            info, node,
                             f"numpy.{parts[1]}() dtype is not an exact "
                             "dtype; pin dtype=np.int64 (or "
                             "np.bool_/np.intp) so state arrays cannot "
@@ -310,7 +230,7 @@ class ExactnessRule(Rule):
                     "float", "complex",
                 ):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"{node.func.id}() conversion on an exact path; "
                         "keep Fraction, or rename the enclosing helper "
                         "to *_float",
@@ -321,7 +241,7 @@ class ExactnessRule(Rule):
             def visit_BinOp(self, node: ast.BinOp) -> None:
                 if isinstance(node.op, ast.Div):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         "true division on an exact path silently "
                         "produces a float on integers; use "
                         "Fraction(a, b) or a // b",
@@ -331,14 +251,14 @@ class ExactnessRule(Rule):
             def visit_AugAssign(self, node: ast.AugAssign) -> None:
                 if isinstance(node.op, ast.Div):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         "in-place true division on an exact path; use "
                         "Fraction or //=",
                     ))
                 self.generic_visit(node)
 
         v = V()
-        v.visit(ctx.tree)
+        v.visit(info.tree)
         yield from v.found
 
 
@@ -380,13 +300,13 @@ class DeterminismRule(Rule):
         "set-iteration-order leaking into ordered results."
     )
 
-    def applies_to(self, ctx: LintContext) -> bool:
+    def applies_to(self, info: ModuleInfo) -> bool:
         # Result determinism is a repro-package invariant; tests and
         # tools may read clocks and roll dice however they like.
-        return ctx.in_package("repro")
+        return info.in_package("repro")
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx)
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        imports = info.import_map
         rule = self
 
         class V(_ScopedVisitor):
@@ -395,7 +315,7 @@ class DeterminismRule(Rule):
                 self.found: list[Finding] = []
 
             def visit_Call(self, node: ast.Call) -> None:
-                origin = resolve_call_origin(node, imports)
+                origin = info.resolve(node.func)
                 if origin is not None:
                     self._check_origin(node, origin)
                 if (
@@ -406,7 +326,7 @@ class DeterminismRule(Rule):
                     and any(_is_set_valued(a, imports) for a in node.args)
                 ):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"{node.func.id}() over a set leaks arbitrary "
                         "iteration order into results; sort first "
                         "(sorted(...)) or keep a list",
@@ -418,7 +338,7 @@ class DeterminismRule(Rule):
                     and _is_set_valued(node.args[0], imports)
                 ):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         "str.join over a set produces order-dependent "
                         "output; sort first",
                     ))
@@ -428,7 +348,7 @@ class DeterminismRule(Rule):
                 parts = origin.split(".")
                 if origin in _WALLCLOCK:
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"wall-clock read {origin}() in a result path "
                         "makes runs irreproducible; thread timestamps "
                         "in explicitly (time.perf_counter is fine for "
@@ -437,7 +357,7 @@ class DeterminismRule(Rule):
                 elif parts[0] == "random" and len(parts) == 2:
                     if parts[1] not in ("Random", "SystemRandom"):
                         self.found.append(rule.finding(
-                            ctx, node,
+                            info, node,
                             f"module-level random.{parts[1]}() uses the "
                             "shared unseeded RNG; construct "
                             "random.Random(seed) instead",
@@ -445,7 +365,7 @@ class DeterminismRule(Rule):
                 elif parts[:2] == ["numpy", "random"] and len(parts) == 3:
                     if parts[2] in _NUMPY_LEGACY:
                         self.found.append(rule.finding(
-                            ctx, node,
+                            info, node,
                             f"legacy numpy.random.{parts[2]}() mutates "
                             "global RNG state; use "
                             "numpy.random.default_rng(seed)",
@@ -454,7 +374,7 @@ class DeterminismRule(Rule):
                         node.args or node.keywords
                     ):
                         self.found.append(rule.finding(
-                            ctx, node,
+                            info, node,
                             "default_rng() without a seed is "
                             "irreproducible; pass an explicit seed",
                         ))
@@ -473,7 +393,7 @@ class DeterminismRule(Rule):
             def _check_iter(self, iter_node: ast.expr) -> None:
                 if _is_set_valued(iter_node, imports):
                     self.found.append(rule.finding(
-                        ctx, iter_node,
+                        info, iter_node,
                         "iterating a set in arbitrary order; wrap in "
                         "sorted(...) if the loop feeds ordered results",
                     ))
@@ -489,82 +409,8 @@ class DeterminismRule(Rule):
             visit_GeneratorExp = _visit_comp
 
         v = V()
-        v.visit(ctx.tree)
+        v.visit(info.tree)
         yield from v.found
-
-
-# ----------------------------------------------------------------------
-# LAYER001
-# ----------------------------------------------------------------------
-@register_rule
-class RunnerLayerRule(Rule):
-    code = "LAYER001"
-    name = "runner-layer-discipline"
-    description = (
-        "Engine primitives (Engine, Port, simulate_streams) may only be "
-        "invoked from repro.runner.backends and the blessed legacy "
-        "shims; everything else rides run(job, backend=...) and the "
-        "SweepExecutor."
-    )
-
-    #: Modules allowed to touch the engine directly: the backend layer
-    #: itself and the engine internals.  ``repro.runner.fastsim`` is
-    #: the flat-array core the fast backend runs on — an engine
-    #: primitive in its own right, blessed for the same reason
-    #: ``repro.sim.engine`` is — and ``repro.runner.batchsim`` is its
-    #: structure-of-arrays twin.
-    BLESSED = frozenset({
-        "repro.runner.backends",
-        "repro.runner.fastsim",
-        "repro.runner.batchsim",
-        "repro.sim.engine",
-        "repro.sim.port",
-    })
-
-    #: Call origins that bypass the runner layer (matched by suffix so
-    #: relative imports resolve identically).  The fastsim core joins
-    #: the historical engine primitives: calling ``FlatSim`` or the
-    #: steady-cycle detector directly skips backend checking and the
-    #: executor's cache, exactly like constructing an ``Engine``.  The
-    #: batch core's entry points bypass the same way — and additionally
-    #: skip the error/fallback bookkeeping only ``BatchBackend`` does.
-    TARGET_SUFFIXES = (
-        "sim.engine.Engine",
-        "sim.engine.simulate_streams",
-        "sim.port.Port",
-        "runner.fastsim.FlatSim",
-        "runner.fastsim.find_steady_cycle",
-        "runner.batchsim.BatchSim",
-        "runner.batchsim.run_steady_batch",
-        "runner.batchsim.run_span_batch",
-    )
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        if ctx.module in self.BLESSED:
-            return False
-        # tools/ write committed artifacts, so they ride the runner
-        # like package code; tests must construct engines to test them.
-        return ctx.in_package("repro") or ctx.role == "tools"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            origin = resolve_call_origin(node, imports)
-            if origin is None:
-                continue
-            for suffix in self.TARGET_SUFFIXES:
-                if origin == suffix or origin.endswith("." + suffix):
-                    short = suffix.rsplit(".", 1)[-1]
-                    yield self.finding(
-                        ctx, node,
-                        f"direct {short}() call bypasses the runner "
-                        "layer; build a SimJob and call "
-                        "run(job, backend=...) so the result is "
-                        "backend-checked and cacheable",
-                    )
-                    break
 
 
 # ----------------------------------------------------------------------
@@ -593,20 +439,19 @@ class ClockBoundaryRule(Rule):
         "time.thread_time", "time.thread_time_ns",
     })
 
-    def applies_to(self, ctx: LintContext) -> bool:
-        if ctx.module in self.BLESSED:
+    def applies_to(self, info: ModuleInfo) -> bool:
+        if info.module in self.BLESSED:
             return False
-        return ctx.in_package("repro")
+        return info.in_package("repro")
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = build_import_map(ctx)
-        for node in ast.walk(ctx.tree):
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            origin = resolve_call_origin(node, imports)
+            origin = info.resolve(node.func)
             if origin in self.CLOCKS:
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     f"{origin}() outside repro.obs.trace; ad-hoc timing "
                     "fragments the observability contract — wrap the "
                     "region in repro.obs.trace.span(...) instead",
@@ -631,7 +476,7 @@ class FrozenMutationRule(Rule):
         "__init__", "__post_init__", "__new__", "__setstate__",
     })
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
         rule = self
 
         class V(_ScopedVisitor):
@@ -652,7 +497,7 @@ class FrozenMutationRule(Rule):
                     )
                 ):
                     self.found.append(rule.finding(
-                        ctx, node,
+                        info, node,
                         f"object.{chain[1]}() mutates a frozen instance; "
                         "frozen jobs/outcomes back cache identities — "
                         "build a new instance with dataclasses.replace()",
@@ -660,7 +505,7 @@ class FrozenMutationRule(Rule):
                 self.generic_visit(node)
 
         v = V()
-        v.visit(ctx.tree)
+        v.visit(info.tree)
         yield from v.found
 
 
@@ -668,7 +513,7 @@ class FrozenMutationRule(Rule):
 # PAR001
 # ----------------------------------------------------------------------
 @register_rule
-class PoolSafetyRule(ProjectRule):
+class PoolSafetyRule(Rule):
     code = "PAR001"
     name = "process-pool-safety"
     description = (
@@ -685,7 +530,7 @@ class PoolSafetyRule(ProjectRule):
     CHAOS_HOME = "repro.runner.resilience"
     CHAOS_PREFIX = "REPRO_CHAOS"
 
-    def check_project(self, project: "ProjectIndex") -> Iterator[Finding]:
+    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
         for info in project.repro_modules():
             if info.role != "src":
                 continue
@@ -693,7 +538,7 @@ class PoolSafetyRule(ProjectRule):
             if self._imports_pools(info):
                 yield from self._check_dispatch_sites(project, info)
 
-    def _imports_pools(self, info: "ModuleInfo") -> bool:
+    def _imports_pools(self, info: ModuleInfo) -> bool:
         for edge in info.imports:
             if edge.origin == "multiprocessing" or edge.origin.startswith(
                 ("multiprocessing.", "concurrent.futures")
@@ -702,7 +547,7 @@ class PoolSafetyRule(ProjectRule):
         return False
 
     def _check_chaos_literals(
-        self, info: "ModuleInfo"
+        self, info: ModuleInfo
     ) -> Iterator[Finding]:
         if info.module == self.CHAOS_HOME or info.package == "lint":
             return  # the analyzer itself spells the pattern it detects
@@ -726,7 +571,7 @@ class PoolSafetyRule(ProjectRule):
                 )
 
     def _check_dispatch_sites(
-        self, project: "ProjectIndex", info: "ModuleInfo"
+        self, project: ProjectIndex, info: ModuleInfo
     ) -> Iterator[Finding]:
         for node in ast.walk(info.tree):
             if (
@@ -748,8 +593,8 @@ class PoolSafetyRule(ProjectRule):
 
     def _worker_problem(
         self,
-        project: "ProjectIndex",
-        info: "ModuleInfo",
+        project: ProjectIndex,
+        info: ModuleInfo,
         arg: ast.expr,
     ) -> str | None:
         if isinstance(arg, ast.Lambda):
@@ -773,10 +618,7 @@ class PoolSafetyRule(ProjectRule):
                     "pool boundary; hoist the work into a module-level "
                     "function"
                 )
-            head = info.import_map.get(chain[0], chain[0])
-            return self._resolved_problem(
-                project, ".".join([head, *chain[1:]])
-            )
+            return self._resolved_problem(project, info.resolve(arg))
         if isinstance(arg, ast.Name):
             origin = info.import_map.get(arg.id)
             if origin is not None:
@@ -785,7 +627,7 @@ class PoolSafetyRule(ProjectRule):
         return None
 
     def _resolved_problem(
-        self, project: "ProjectIndex", origin: str
+        self, project: ProjectIndex, origin: str
     ) -> str | None:
         target = project.resolve_module(origin)
         if target is None or origin == target.module:
@@ -794,7 +636,7 @@ class PoolSafetyRule(ProjectRule):
         return self._symbol_problem(target, symbol)
 
     def _symbol_problem(
-        self, info: "ModuleInfo", symbol: str
+        self, info: ModuleInfo, symbol: str
     ) -> str | None:
         if symbol in info.global_mutators:
             return (
@@ -817,7 +659,7 @@ class PoolSafetyRule(ProjectRule):
 # OBS002
 # ----------------------------------------------------------------------
 @register_rule
-class MetricNameRule(ProjectRule):
+class MetricNameRule(Rule):
     code = "OBS002"
     name = "metric-name-constants"
     description = (
@@ -830,7 +672,7 @@ class MetricNameRule(ProjectRule):
     METHODS = frozenset({"counter", "gauge", "histogram", "span"})
     NAMES_MODULE = "repro.obs.names"
 
-    def check_project(self, project: "ProjectIndex") -> Iterator[Finding]:
+    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
         names_info = project.by_module.get(self.NAMES_MODULE)
         known = names_info.symbols if names_info is not None else None
         for info in project.repro_modules():
@@ -840,7 +682,7 @@ class MetricNameRule(ProjectRule):
             yield from self._check_call_sites(info, known)
 
     def _check_imports(
-        self, info: "ModuleInfo", known: frozenset[str] | None
+        self, info: ModuleInfo, known: frozenset[str] | None
     ) -> Iterator[Finding]:
         if known is None:
             return
@@ -863,7 +705,7 @@ class MetricNameRule(ProjectRule):
                 )
 
     def _check_call_sites(
-        self, info: "ModuleInfo", known: frozenset[str] | None
+        self, info: ModuleInfo, known: frozenset[str] | None
     ) -> Iterator[Finding]:
         prefix = self.NAMES_MODULE + "."
         for node in ast.walk(info.tree):
@@ -888,11 +730,11 @@ class MetricNameRule(ProjectRule):
                     ),
                 )
                 continue
-            chain = dotted_name(arg) if isinstance(arg, ast.Attribute) else None
-            if chain is None or known is None:
+            origin = (
+                info.resolve(arg) if isinstance(arg, ast.Attribute) else None
+            )
+            if origin is None or known is None:
                 continue  # bare names: the runtime contract test's job
-            head = info.import_map.get(chain[0], chain[0])
-            origin = ".".join([head, *chain[1:]])
             if origin.startswith(prefix):
                 symbol = origin[len(prefix) :]
                 if "." not in symbol and symbol not in known:
@@ -913,7 +755,7 @@ class MetricNameRule(ProjectRule):
 # DEAD001
 # ----------------------------------------------------------------------
 @register_rule
-class DeadExportRule(ProjectRule):
+class DeadExportRule(Rule):
     code = "DEAD001"
     name = "dead-exports"
     description = (
@@ -923,7 +765,7 @@ class DeadExportRule(ProjectRule):
         "and are exempt)."
     )
 
-    def check_project(self, project: "ProjectIndex") -> Iterator[Finding]:
+    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
         for info in project.repro_modules():
             if info.role != "src" or info.is_package or info.exports is None:
                 continue

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import collections
+import tokenize
+
 import pytest
 
 from repro.lint import (
+    Suppressions,
     all_rules,
     get_rules,
     lint_paths,
@@ -14,13 +19,12 @@ from repro.lint import (
 from repro.lint.framework import (
     PARSE_ERROR_CODE,
     UNUSED_SUPPRESSION_CODE,
-    Suppressions,
     find_project_root,
 )
 
 EXPECTED_CODES = {
-    "API001", "DEAD001", "DET001", "EXACT001", "FROZEN001", "IMPORT001",
-    "LAYER001", "OBS001", "OBS002", "PAR001",
+    "DEAD001", "DET001", "EXACT001", "FROZEN001", "LAYER001", "OBS001",
+    "OBS002", "PAR001",
 }
 
 
@@ -226,9 +230,7 @@ class TestUnusedSuppressionReport:
 
     def test_stale_waiver_flagged(self, tmp_path):
         tree = self._tree(tmp_path, "x = 1  # reprolint: disable=EXACT001\n")
-        report = lint_paths(
-            [tree / "src"], root=tree, report_unused_suppressions=True
-        )
+        report = lint_paths([tree / "src"], root=tree)
         (finding,) = report.findings
         assert finding.rule == UNUSED_SUPPRESSION_CODE
         assert "EXACT001" in finding.message
@@ -238,27 +240,55 @@ class TestUnusedSuppressionReport:
         tree = self._tree(
             tmp_path, "x = 1 / 3  # reprolint: disable=EXACT001\n"
         )
-        report = lint_paths(
-            [tree / "src"], root=tree, report_unused_suppressions=True
-        )
+        report = lint_paths([tree / "src"], root=tree)
         assert report.clean, [f.render() for f in report.findings]
 
-    def test_live_waiver_accounted_from_cache(self, tmp_path):
-        # The waived finding is replayed from the cache on a warm run,
-        # so the directive still counts as used without re-linting.
+    def test_project_rule_waiver_counts_as_used(self, tmp_path):
+        # A DEAD001 finding comes from the whole-program pass; waiving
+        # it keeps the waiver alive in the linted file.
         tree = self._tree(
-            tmp_path, "x = 1 / 3  # reprolint: disable=EXACT001\n"
+            tmp_path,
+            '__all__ = ["nope"]  # reprolint: disable=DEAD001\n\n\n'
+            "def nope():\n    return 0\n",
         )
-        cache = tree / ".reprolint-cache.json"
-        for _ in range(2):
-            report = lint_paths(
-                [tree / "src"], root=tree, cache=cache,
-                report_unused_suppressions=True,
-            )
-            assert report.clean, [f.render() for f in report.findings]
-        assert report.files_linted == 0
-
-    def test_off_by_default(self, tmp_path):
-        tree = self._tree(tmp_path, "x = 1  # reprolint: disable=EXACT001\n")
         report = lint_paths([tree / "src"], root=tree)
-        assert report.clean
+        assert report.clean, [f.render() for f in report.findings]
+
+
+class TestOnePass:
+    def test_each_file_parsed_and_tokenised_once(self, tmp_path, monkeypatch):
+        (tmp_path / "pyproject.toml").write_text("")
+        files = {
+            "src/repro/__init__.py": "ROOT = 0\n",
+            "src/repro/core/__init__.py": "CORE = 1\n",
+            "src/repro/core/mod.py": "x = 1 / 3  # reprolint: disable=EXACT001\n",
+            "tests/test_mod.py": "def test_x():\n    assert True\n",
+            "tools/gen.py": "GEN = 2\n",  # indexed, not linted
+            "extra/outside.py": "OUT = 3\n",  # linted, not indexed
+        }
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        parsed: collections.Counter[str] = collections.Counter()
+        tokenised: collections.Counter[str] = collections.Counter()
+        real_parse, real_tokens = ast.parse, tokenize.generate_tokens
+
+        def parse(source, *args, **kwargs):
+            parsed[source] += 1
+            return real_parse(source, *args, **kwargs)
+
+        def tokens(readline):
+            tokenised[readline.__self__.getvalue()] += 1
+            return real_tokens(readline)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", tokens)
+        report = lint_paths(
+            [tmp_path / "src", tmp_path / "tests", tmp_path / "extra"],
+            root=tmp_path,
+        )
+        assert report.clean, [f.render() for f in report.findings]
+        assert report.files_checked == 5
+        once = {text: 1 for text in files.values()}
+        assert parsed == once
+        assert tokenised == once

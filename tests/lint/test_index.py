@@ -8,11 +8,11 @@ from repro.lint import ModuleInfo, ProjectIndex
 from repro.lint.index import (
     TREE_DIRS,
     ImportEdge,
+    build_module_info,
     iter_tree_files,
     role_for_path,
 )
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
 PROJECTS = pathlib.Path(__file__).parent / "fixtures" / "projects"
 
 
@@ -58,8 +58,8 @@ class TestIterTreeFiles:
 
 
 class TestModuleInfo:
-    def test_real_tree_builds(self):
-        index = ProjectIndex.build(ROOT)
+    def test_real_tree_builds(self, real_tree):
+        index = real_tree.index
         info = index.by_module["repro.runner.executor"]
         assert isinstance(info, ModuleInfo)
         assert info.role == "src"
@@ -116,6 +116,16 @@ class TestModuleInfo:
         assert "inner" in info.nested_functions
         assert info.global_mutators == frozenset({"g"})
 
+    def test_module_directive_overrides_the_path(self):
+        info = build_module_info(
+            "tests/lint/fixtures/x.py",
+            "# reprolint: module=repro.runner.job\nfrom . import arbiter\n",
+        )
+        assert info.module == "repro.runner.job"
+        assert info.package == "runner"
+        assert info.role == "tests"
+        assert info.import_map == {"arbiter": "repro.runner.arbiter"}
+
     def test_uses_expand_attribute_prefixes(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
@@ -132,8 +142,8 @@ class TestModuleInfo:
 
 
 class TestQueries:
-    def test_resolve_module_strips_symbols(self):
-        index = ProjectIndex.build(ROOT)
+    def test_resolve_module_strips_symbols(self, real_tree):
+        index = real_tree.index
         info = index.resolve_module("repro.sim.engine.Engine")
         assert info is not None and info.module == "repro.sim.engine"
         assert index.resolve_module("os.path.join") is None
@@ -149,28 +159,11 @@ class TestQueries:
         assert index.is_used_elsewhere("repro.core.util", "used")
 
 
-class TestDigest:
-    def test_content_digest_matches_build_digest(self, tmp_path):
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "a.py").write_text("x = 1\n")
-        assert (
-            ProjectIndex.content_digest(tmp_path)
-            == ProjectIndex.build(tmp_path).digest
-        )
-
-    def test_digest_changes_with_content(self, tmp_path):
-        (tmp_path / "src").mkdir()
-        target = tmp_path / "src" / "a.py"
-        target.write_text("x = 1\n")
-        before = ProjectIndex.content_digest(tmp_path)
-        target.write_text("x = 2\n")
-        assert ProjectIndex.content_digest(tmp_path) != before
-
-    def test_unparsable_files_still_digest(self, tmp_path):
-        # PARSE001 owns the error; the index just skips the file but
-        # its bytes still key the cache, so fixing it invalidates.
+class TestUnparsable:
+    def test_unparsable_files_are_skipped(self, tmp_path):
+        # PARSE001 owns the error when the file is linted; the index
+        # just leaves it out.
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "broken.py").write_text("def broken(:\n")
-        index = ProjectIndex.build(tmp_path)
-        assert index.files == {}
-        assert index.digest == ProjectIndex.content_digest(tmp_path)
+        (tmp_path / "src" / "ok.py").write_text("x = 1\n")
+        assert list(ProjectIndex.build(tmp_path).files) == ["src/ok.py"]
