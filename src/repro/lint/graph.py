@@ -72,7 +72,7 @@ LEAF_PACKAGES = frozenset({"obs", "lint"})
 PRIMITIVES: dict[str, tuple[str, ...]] = {
     "repro.sim.engine": ("Engine", "simulate_streams"),
     "repro.sim.port": ("Port",),
-    "repro.runner.fastsim": ("FlatSim", "find_steady_cycle"),
+    "repro.runner.fastsim": ("CountedSim", "FlatSim", "find_steady_cycle"),
     "repro.runner.batchsim": (
         "BatchSim", "run_steady_batch", "run_span_batch",
     ),
@@ -81,21 +81,31 @@ PRIMITIVES: dict[str, tuple[str, ...]] = {
 #: The sanctioned boundary edges, (importer, imported module) -> whether
 #: the importer may also *call* the imported module's primitives.  An
 #: upward import on this table is not a finding.  The calling rows are
-#: the backends driving every core, and the reference engine building
-#: ports and handing steady-state search to the flat core.  The other
-#: rows are the spec boundary: ``SimJob``, the analytic tier and the
-#: cores consult the sim layer's arbitration grammar (function-scoped
-#: imports, so the eager graph stays acyclic) to reject malformed specs
-#: at construction, and may never run an engine.
+#: the backends driving every core; the reference engine building ports
+#: and handing steady-state search to the flat core; and the three
+#: finite workloads on the counted kernel.  Those are the machine
+#: scheduler, which interleaves CPU issue with arbitration, and the
+#: skewing and gather evaluators, which measure a fixed window of
+#: streams with no steady state.  ``SimJob`` models neither, so they
+#: cannot ride ``run(job)``.  The other rows are the spec boundary:
+#: ``SimJob``, the analytic tier and the cores consult the sim layer's
+#: arbitration grammar (function-scoped imports, so the eager graph
+#: stays acyclic) to reject malformed specs at construction, and the
+#: counted kernel reports its accounting as the sim layer's
+#: ``SimStats``; none of them may run an engine.
 BOUNDARY: dict[tuple[str, str], bool] = {
     ("repro.runner.backends", "repro.runner.batchsim"): True,
     ("repro.runner.backends", "repro.runner.fastsim"): True,
     ("repro.runner.backends", "repro.sim.engine"): True,
     ("repro.sim.engine", "repro.runner.fastsim"): True,
     ("repro.sim.engine", "repro.sim.port"): True,
+    ("repro.machine.scheduler", "repro.runner.fastsim"): True,
+    ("repro.skewing.evaluate", "repro.runner.fastsim"): True,
+    ("repro.stochastic.evaluate", "repro.runner.fastsim"): True,
     ("repro.runner.analytic", "repro.sim.arbiter"): False,
     ("repro.runner.batchsim", "repro.sim.arbiter"): False,
     ("repro.runner.fastsim", "repro.sim.arbiter"): False,
+    ("repro.runner.fastsim", "repro.sim.stats"): False,
     ("repro.runner.job", "repro.sim.arbiter"): False,
     ("repro.runner.job", "repro.sim.engine"): False,
     ("repro.runner.resilience", "repro.sim.engine"): False,

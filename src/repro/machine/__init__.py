@@ -5,7 +5,7 @@
 ``cpu``
     Per-CPU issue logic, chaining, background streams.
 ``scheduler``
-    Machine loop coupling CPUs to the memory engine.
+    Machine loop coupling CPUs to the counted memory kernel.
 ``workloads``
     The Section IV triad and the unit-stride competitor program.
 ``xmp``

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..memory.config import MemoryConfig
-from ..sim.port import Port
 from .cpu import CpuModel, CpuPort
 from .instructions import PortKind
 from .scheduler import MachineSimulation
@@ -78,7 +77,6 @@ def build_machine(
     spec: MachineSpec,
     *,
     priority: str = "cyclic",
-    trace: bool = False,
 ) -> MachineSimulation:
     """Instantiate an empty machine from a spec."""
     cpus: list[CpuModel] = []
@@ -86,18 +84,12 @@ def build_machine(
     for cpu_id, kinds in enumerate(spec.port_kinds):
         slots = []
         for kind in kinds:
-            slots.append(
-                # Machine assembly wires finite instruction workloads,
-                # which the infinite-stream SimJob cannot express.
-                CpuPort(port=Port(index=index, cpu=cpu_id), kind=kind)  # reprolint: disable=LAYER001
-            )
+            slots.append(CpuPort(index=index, cpu=cpu_id, kind=kind))
             index += 1
         cpus.append(
             CpuModel(cpu_id, slots, chain_latency=spec.chain_latency)
         )
-    return MachineSimulation(
-        spec.config, cpus, priority=priority, trace=trace
-    )
+    return MachineSimulation(spec.config, cpus, priority=priority)
 
 
 #: The measured machine: 2 CPUs x (2 read + 1 write), 16 banks, n_c=4.
@@ -147,7 +139,5 @@ def run_on(
         for cpu_id, streams in background.items():
             if cpu_id == cpu:
                 raise ValueError("background must target a different CPU")
-            machine.cpus[cpu_id].set_background(
-                streams, spec.config.banks
-            )
+            machine.cpus[cpu_id].set_background(streams)
     return machine.run_until_programs_finish(max_cycles=max_cycles)

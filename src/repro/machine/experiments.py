@@ -91,11 +91,9 @@ def dueling_triads(
         common1 = common0
     cpu0.load_program(triad_program(inc0, n=n, common=common0))
     cpu1.load_program(triad_program(inc1, n=n, common=common1))
-    machine.run_until_programs_finish()
-
-    stats = machine.engine.stats
-    ports0 = [slot.port.index for slot in cpu0.ports]
-    ports1 = [slot.port.index for slot in cpu1.ports]
+    stats = machine.run_until_programs_finish().stats
+    ports0 = [slot.index for slot in cpu0.ports]
+    ports1 = [slot.index for slot in cpu1.ports]
     return DuelResult(
         inc0=inc0,
         inc1=inc1,

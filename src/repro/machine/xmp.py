@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from ..memory.config import MemoryConfig
 from ..memory.layout import CommonBlock, triad_common_block
-from ..sim.port import Port
 from ..sim.stats import ConflictKind, SimStats
 from .cpu import CpuModel, CpuPort
 from .instructions import PortKind
@@ -76,7 +75,6 @@ def build_xmp(
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
     priority: str = "cyclic",
-    trace: bool = False,
 ) -> MachineSimulation:
     """Assemble a two-CPU X-MP with empty programs."""
     cpus: list[CpuModel] = []
@@ -84,11 +82,10 @@ def build_xmp(
     for cpu_id in range(2):
         slots = []
         for kind in CPU_PORT_KINDS:
-            # X-MP assembly: finite instruction workloads, not SimJobs.
-            slots.append(CpuPort(port=Port(index=index, cpu=cpu_id), kind=kind))  # reprolint: disable=LAYER001
+            slots.append(CpuPort(index=index, cpu=cpu_id, kind=kind))
             index += 1
         cpus.append(CpuModel(cpu_id, slots, chain_latency=chain_latency))
-    return MachineSimulation(config, cpus, priority=priority, trace=trace)
+    return MachineSimulation(config, cpus, priority=priority)
 
 
 def run_program(
@@ -98,7 +95,6 @@ def run_program(
     config: MemoryConfig = XMP_CONFIG,
     chain_latency: int = 8,
     priority: str = "cyclic",
-    trace: bool = False,
     label_inc: int = 0,
 ) -> TriadResult:
     """Execute an arbitrary instruction program on CPU 0 of the X-MP.
@@ -111,17 +107,15 @@ def run_program(
         config=config,
         chain_latency=chain_latency,
         priority=priority,
-        trace=trace,
     )
     cpu0, cpu1 = machine.cpus
     cpu0.load_program(program)
     if other_cpu_active:
         cpu1.set_background(
-            unit_stride_background(config.banks, ports=len(CPU_PORT_KINDS)),
-            config.banks,
+            unit_stride_background(config.banks, ports=len(CPU_PORT_KINDS))
         )
     run = machine.run_until_programs_finish()
-    ports = [slot.port.index for slot in cpu0.ports]
+    ports = [slot.index for slot in cpu0.ports]
     # loop trip count: elements of the longest single reference stream
     # per segment chain; stores define it when present, else loads.
     stores = [i for i in program if i.kind is PortKind.WRITE]
@@ -144,7 +138,6 @@ def run_triad(
     chain_latency: int = 8,
     priority: str = "cyclic",
     common: CommonBlock | None = None,
-    trace: bool = False,
 ) -> TriadResult:
     """Execute ``A(I) = B(I) + C(I)*D(I)`` for one increment.
 
@@ -160,7 +153,6 @@ def run_triad(
         config=config,
         chain_latency=chain_latency,
         priority=priority,
-        trace=trace,
         label_inc=inc,
     )
 

@@ -21,20 +21,28 @@ transient ``mu`` (first clock of the periodic regime), the minimal
 period ``lam``, per-port grants over ``[mu, mu+lam)``, and a total of
 ``mu + lam`` simulated clocks; jobs whose ``mu + lam`` exceeds
 ``max_cycles`` raise the same ``RuntimeError``.
+
+:class:`CountedSim` is the same arbitration for finite workloads: port
+reassignment, finite, mapped and random streams, and per-port conflict
+accounting equal to the reference engine's.  The X-MP machine model and
+the finite-window evaluators run on it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ..core.stream import AccessStream
 from ..obs import metrics as _metrics
 from ..obs import names as _names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..memory.config import MemoryConfig
     from ..sim.arbiter import ArbiterPolicy
+    from ..sim.stats import SimStats
     from .job import SimJob
 
-__all__ = ["FlatSim", "find_steady_cycle"]
+__all__ = ["CountedSim", "FlatSim", "find_steady_cycle"]
 
 
 def _record_steady(mu: int, lam: int) -> None:
@@ -627,3 +635,265 @@ def find_steady_cycle(
         mu += 1
     _record_steady(mu, lam)
     return mu, lam, tuple(trail.grants), tuple(lead.grants)
+
+
+class CountedSim:
+    """Flat kernel for finite workloads, with conflict accounting.
+
+    The finite counterpart of :class:`FlatSim`: the X-MP machine model
+    and the finite-window evaluators (skewing, gathers) run on it.  It
+    steps the engine's arbitration (bank busy → per-CPU section path →
+    cross-CPU simultaneous bank, contenders ranked by the
+    :func:`~repro.sim.arbiter.make_arbiter` policy) over integer lists,
+    and counts every denial by cause exactly like
+    :class:`~repro.sim.stats.PortStats`, so :meth:`stats` equals the
+    reference engine's ``SimStats`` for the same run.
+
+    Each port holds a pending bank and a remaining-request count
+    (``0`` idle, negative for an infinite stream).  A constant-stride
+    :class:`~repro.core.stream.AccessStream` walks its banks by adding
+    the stride; any other stream (mapped, random) supplies its banks
+    through ``bank_at``, read once per grant.  :meth:`assign` gives an
+    idle port a new stream at any clock, so ports can be reassigned.
+    """
+
+    __slots__ = (
+        "m",
+        "n_c",
+        "sect",
+        "cpu_key",
+        "policy",
+        "ports",
+        "cycle",
+        "busy",
+        "bank",
+        "stride",
+        "left",
+        "source",
+        "index",
+        "grants",
+        "run",
+        "longest",
+        "stalls",
+        "episodes",
+    )
+
+    def __init__(
+        self,
+        config: "MemoryConfig",
+        cpus: Sequence[int],
+        *,
+        priority: str = "fixed",
+    ) -> None:
+        from ..memory.sections import section_map_for
+        from ..sim.arbiter import make_arbiter
+
+        if not cpus:
+            raise ValueError("need at least one port")
+        m = config.banks
+        n = len(cpus)
+        smap = section_map_for(config)
+        self.m = m
+        self.n_c = config.bank_cycle
+        self.sect = [smap.section_of(j) for j in range(m)]
+        # (cpu, section) path identity as one integer: cpu * m + section.
+        self.cpu_key = [c * m for c in cpus]
+        self.policy = make_arbiter(n, m, priority=priority)
+        self.ports = list(range(n))
+        self.cycle = 0
+        #: Busy-until clock per bank (free at ``t`` iff ``busy <= t``).
+        self.busy = [0] * m
+        self.bank = [0] * n
+        self.stride = [0] * n
+        self.left = [0] * n
+        self.source: list[Callable[[int, int], int] | None] = [None] * n
+        #: Request index of the pending request (``source`` ports).
+        self.index = [0] * n
+        self.grants = [0] * n
+        #: Current and longest run of denied clocks per port.
+        self.run = [0] * n
+        self.longest = [0] * n
+        #: Stall cycles and episodes per port, by cause: bank, section,
+        #: simultaneous bank.
+        self.stalls = ([0] * n, [0] * n, [0] * n)
+        self.episodes = ([0] * n, [0] * n, [0] * n)
+
+    def assign(self, port: int, stream) -> None:
+        """Give an idle ``port`` a new stream from the current clock on."""
+        if self.left[port]:
+            raise RuntimeError(f"port {port} still has requests pending")
+        m = self.m
+        length = -1 if stream.is_infinite else stream.length
+        self.left[port] = length
+        self.index[port] = 0
+        if isinstance(stream, AccessStream):
+            self.source[port] = None
+            self.stride[port] = stream.stride % m
+            self.bank[port] = stream.start_bank % m
+        else:
+            self.source[port] = stream.bank_at
+            if length:
+                self.bank[port] = stream.bank_at(0, m)
+
+    def run_span(self, clocks: int) -> None:
+        """Advance exactly ``clocks`` clock periods."""
+        if clocks < 0:
+            raise ValueError("cycle count must be non-negative")
+        while clocks:
+            clocks -= self.advance(clocks)
+
+    def advance(self, limit: int) -> int:
+        """Advance up to ``limit`` clocks, stopping after the first clock
+        in which a finite stream drains; returns the clocks advanced.
+
+        One frame runs the whole span with the hot state in locals:
+        a machine driver re-enters only when a port frees up.
+        """
+        busy = self.busy
+        bank = self.bank
+        left = self.left
+        stride = self.stride
+        source = self.source
+        index = self.index
+        sect = self.sect
+        cpu_key = self.cpu_key
+        grants = self.grants
+        run = self.run
+        longest = self.longest
+        st_bank, st_sect, st_sim = self.stalls
+        ep_bank, ep_sect, ep_sim = self.episodes
+        pol = self.policy
+        granted = pol.granted
+        tick = pol.tick
+        ports = self.ports
+        m = self.m
+        n_c = self.n_c
+        start = t = self.cycle
+        end = t + limit
+        while t < end:
+            # Phase 1 — bank conflicts: active banks reject everyone.
+            free = []
+            for p in ports:
+                if not left[p]:
+                    continue
+                if busy[bank[p]] > t:
+                    r = run[p]
+                    if not r:
+                        ep_bank[p] += 1
+                    run[p] = r + 1
+                    st_bank[p] += 1
+                else:
+                    free.append(p)
+            if len(free) > 1:
+                # Phase 2 — section conflicts: per (cpu, path) at most
+                # one grant.
+                if len({cpu_key[p] + sect[bank[p]] for p in free}) != len(free):
+                    paths: dict[int, list[int]] = {}
+                    for p in free:
+                        key = cpu_key[p] + sect[bank[p]]
+                        g = paths.get(key)
+                        if g is None:
+                            paths[key] = [p]
+                        else:
+                            g.append(p)
+                    free = []
+                    for members in paths.values():
+                        if len(members) == 1:
+                            free.append(members[0])
+                            continue
+                        win = pol.rank_section(members, t)
+                        free.append(win)
+                        for p in members:
+                            if p != win:
+                                r = run[p]
+                                if not r:
+                                    ep_sect[p] += 1
+                                run[p] = r + 1
+                                st_sect[p] += 1
+                # Phase 3 — simultaneous bank conflicts: per bank at
+                # most one grant (cross-CPU by construction).
+                if len(free) > 1 and len({bank[p] for p in free}) != len(free):
+                    banks: dict[int, list[int]] = {}
+                    for p in free:
+                        b = bank[p]
+                        g = banks.get(b)
+                        if g is None:
+                            banks[b] = [p]
+                        else:
+                            g.append(p)
+                    free = []
+                    for b, members in banks.items():
+                        if len(members) == 1:
+                            free.append(members[0])
+                            continue
+                        members.sort()
+                        win = pol.rank_bank(members, b, t)
+                        free.append(win)
+                        for p in members:
+                            if p != win:
+                                r = run[p]
+                                if not r:
+                                    ep_sim[p] += 1
+                                run[p] = r + 1
+                                st_sim[p] += 1
+            # Commit grants.
+            drained = False
+            until = t + n_c
+            for p in free:
+                b = bank[p]
+                busy[b] = until
+                grants[p] += 1
+                r = run[p]
+                if r:
+                    if r > longest[p]:
+                        longest[p] = r
+                    run[p] = 0
+                granted(p, b, t)
+                k = left[p] - 1
+                left[p] = k
+                if not k:
+                    drained = True
+                    continue
+                src = source[p]
+                if src is None:
+                    b += stride[p]
+                    bank[p] = b - m if b >= m else b
+                else:
+                    i = index[p] + 1
+                    index[p] = i
+                    bank[p] = src(i, m)
+            # Clock edge.
+            tick(t)
+            t += 1
+            if drained:
+                break
+        self.cycle = t
+        return t - start
+
+    def stats(self) -> "SimStats":
+        """The run's accounting as the reference engine's ``SimStats``."""
+        from ..sim.stats import ConflictKind, PortStats, SimStats
+
+        kinds = (
+            ConflictKind.BANK, ConflictKind.SECTION, ConflictKind.SIMULTANEOUS
+        )
+
+        def counts(table: tuple[list[int], ...], p: int) -> dict:
+            out = {kind: 0 for kind in ConflictKind}
+            out.update((kind, col[p]) for kind, col in zip(kinds, table))
+            return out
+
+        return SimStats(
+            ports=[
+                PortStats(
+                    grants=self.grants[p],
+                    stall_cycles=counts(self.stalls, p),
+                    episodes=counts(self.episodes, p),
+                    max_stall_run=max(self.longest[p], self.run[p]),
+                    _stalled=self.run[p] > 0,
+                    _run=self.run[p],
+                )
+                for p in self.ports
+            ],
+            cycles=self.cycle,
+        )

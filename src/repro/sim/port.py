@@ -5,13 +5,12 @@ behalf of its current vector instruction, and "has the capability of
 delaying an access request if it cannot be serviced" — a denial stalls
 the whole stream by one clock (dynamic conflict resolution).
 
-Ports here serve two masters:
-
-* the core two-stream experiments assign one (usually infinite) stream
-  per port and never touch it again;
-* the Cray X-MP machine model (:mod:`repro.machine`) feeds each port a
-  sequence of finite 64-element streams (vector instructions), issuing
-  the next one only when its scheduler says the port is free.
+The core two-stream experiments assign one (usually infinite) stream
+per port and never touch it again; a finite stream leaves the port idle
+once drained, and :meth:`Port.assign` then gives it the next one.  (The
+Cray X-MP machine model keeps its ports in the flat counted kernel,
+:class:`repro.runner.fastsim.CountedSim`, which follows the same
+protocol.)
 """
 
 from __future__ import annotations

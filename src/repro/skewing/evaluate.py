@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from ..memory.config import MemoryConfig
 from ..memory.mapping import AddressMapping, InterleavedMapping, LinearSkewMapping
-from ..sim.engine import Engine
-from ..sim.port import Port
+from ..runner.fastsim import CountedSim
 from .streams import MappedStream
 
 __all__ = ["SkewComparison", "measure_bandwidth", "compare_mappings", "stride_sensitivity"]
@@ -60,18 +59,13 @@ def measure_bandwidth(
         bases = list(range(len(strides)))
     if cpus is None:
         cpus = list(range(len(strides)))
-    # Skewed bank walks are not eventually periodic in the engine's
-    # state key, so this measures a finite window on the engine
-    # directly; SimJob only models steady infinite-stride streams.
-    ports = [Port(index=i, cpu=c) for i, c in enumerate(cpus)]  # reprolint: disable=LAYER001
-    engine = Engine(config, ports)  # reprolint: disable=LAYER001
-    for port, base, stride in zip(ports, bases, strides):
-        port.assign(MappedStream(mapping=mapping, base=base, stride=stride))
-    engine.run(warmup)
-    grants0 = sum(p.granted_total for p in ports)
-    engine.run(horizon - warmup)
-    grants1 = sum(p.granted_total for p in ports)
-    return Fraction(grants1 - grants0, horizon - warmup)
+    sim = CountedSim(config, cpus)
+    for port, base, stride in zip(sim.ports, bases, strides):
+        sim.assign(port, MappedStream(mapping=mapping, base=base, stride=stride))
+    sim.run_span(warmup)
+    grants0 = sum(sim.grants)
+    sim.run_span(horizon - warmup)
+    return Fraction(sum(sim.grants) - grants0, horizon - warmup)
 
 
 def compare_mappings(

@@ -49,7 +49,7 @@ class TestMachineSpec:
 class TestBuildMachine:
     def test_port_indices_dense_across_cpus(self):
         sim = build_machine(XMP_SPEC)
-        indices = [s.port.index for c in sim.cpus for s in c.ports]
+        indices = [s.index for c in sim.cpus for s in c.ports]
         assert indices == list(range(6))
 
     def test_builder_matches_build_xmp(self, common):

@@ -9,13 +9,12 @@ from repro.machine.cpu import CpuModel, CpuPort
 from repro.machine.instructions import PortKind, VectorInstruction
 from repro.machine.scheduler import MachineSimulation
 from repro.memory.config import MemoryConfig
-from repro.sim.port import Port
 
 
 def one_cpu_machine(program, m=8, n_c=2, chain=0, start_index=0):
     slots = [
-        CpuPort(port=Port(index=start_index, cpu=0), kind=PortKind.READ),
-        CpuPort(port=Port(index=start_index + 1, cpu=0), kind=PortKind.WRITE),
+        CpuPort(index=start_index, cpu=0, kind=PortKind.READ),
+        CpuPort(index=start_index + 1, cpu=0, kind=PortKind.WRITE),
     ]
     cpu = CpuModel(0, slots, chain_latency=chain)
     cpu.load_program(program)
@@ -64,14 +63,14 @@ class TestRunToCompletion:
 
 class TestMultiCpu:
     def test_background_cpu_never_blocks(self):
-        slots0 = [CpuPort(port=Port(index=0, cpu=0), kind=PortKind.READ)]
+        slots0 = [CpuPort(index=0, cpu=0, kind=PortKind.READ)]
         cpu0 = CpuModel(0, slots0)
         cpu0.load_program([instr(0, length=4)])
-        slots1 = [CpuPort(port=Port(index=1, cpu=1), kind=PortKind.READ)]
+        slots1 = [CpuPort(index=1, cpu=1, kind=PortKind.READ)]
         cpu1 = CpuModel(1, slots1)
         cfg = MemoryConfig(banks=8, bank_cycle=2)
         sim = MachineSimulation(cfg, [cpu0, cpu1])
-        cpu1.set_background({0: AccessStream(4, 1)}, m=8)
+        cpu1.set_background({0: AccessStream(4, 1)})
         res = sim.run_until_programs_finish()
         assert res.cycles == 4
         # the background stream really ran

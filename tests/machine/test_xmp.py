@@ -21,7 +21,7 @@ class TestAssembly:
             kinds = [slot.kind for slot in cpu.ports]
             assert kinds == [PortKind.READ, PortKind.READ, PortKind.WRITE]
         # global port indices dense 0..5
-        indices = [s.port.index for c in sim.cpus for s in c.ports]
+        indices = [s.index for c in sim.cpus for s in c.ports]
         assert indices == list(range(6))
 
     def test_cpu_ids(self):
