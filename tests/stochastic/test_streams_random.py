@@ -95,3 +95,7 @@ class TestEvaluate:
             random_stream_bandwidth(cfg, 1, horizon=10, warmup=10)
         with pytest.raises(ValueError):
             structured_vs_random(cfg, 0)
+        # An empty window is rejected on the structured side too (it
+        # used to divide by zero).
+        with pytest.raises(ValueError, match="horizon must exceed warmup"):
+            structured_vs_random(cfg, 2, horizon=10, warmup=10)
